@@ -18,7 +18,8 @@ FUZZTIME ?= 30s
 COVER_OUT ?= coverage.out
 
 .PHONY: all build vet test race bench bench-smoke bench-save obs-smoke \
-	daemon-smoke chaos-smoke append-smoke fuzz-smoke cover cover-check check
+	daemon-smoke chaos-smoke append-smoke fuzz-smoke cover cover-check \
+	perfbench-test check
 
 all: check
 
@@ -51,6 +52,12 @@ bench-smoke:
 bench-save:
 	$(GO) test -run '^$$' -bench=. -benchmem -benchtime=$(BENCH_TIME) -json ./... \
 		| $(GO) run ./cmd/benchsave -out $(BENCH_OUT)
+
+# The benchmark (perfbench/) is its own Go module, so the root build and
+# test never compile it: vet and test it separately, so an API change that
+# breaks the benchmark fails here.
+perfbench-test:
+	cd perfbench && $(GO) vet . && $(GO) test .
 
 # Native-fuzz burst on every checked-in target: each must survive FUZZTIME
 # (seed corpora under <pkg>/testdata/fuzz/) without a crasher.

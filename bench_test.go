@@ -367,28 +367,27 @@ func BenchmarkParallelGeneration(b *testing.B) {
 }
 
 // BenchmarkParallelAnnotation compares serial per-tuple KB-coverage
-// evaluation with the Annotator's worker pool. Enrichment is off so the KB
-// stays immutable and every row's coverage comes from the precompute pass —
-// the regime where the fan-out pays (an enriching run falls back to serial
-// re-evaluation after the first KB mutation). As with GenerateParallel, the
-// speedup only materialises on multicore hosts; on one core the pool is pure
-// scheduling overhead.
+// evaluation with the coverage fan-out of Cleaner.Annotate at
+// Options.Workers = GOMAXPROCS. Enrichment is off so the KB stays immutable
+// and every row's coverage comes from the up-front fan-out — the regime
+// where it pays (an enriching run re-evaluates inline after the first KB
+// mutation). As with GenerateParallel, the speedup only materialises on
+// multicore hosts; on one core the fan-out is pure scheduling overhead.
 func BenchmarkParallelAnnotation(b *testing.B) {
 	e := env(b)
 	spec := e.Dataset("RelationalTables").Specs[0] // Person
 	kb := e.KBs[1]                                 // DBpedia
 	p := spec.TruthPattern(kb)
+	enrich := false
 	bench := func(workers int) func(*testing.B) {
 		return func(b *testing.B) {
+			c := NewCleaner(kb.Store, crowd.Perfect(3), Options{
+				FactOracle: workload.WorldOracle{W: e.World, KB: kb},
+				Enrich:     &enrich,
+				Workers:    workers,
+			})
 			for i := 0; i < b.N; i++ {
-				ann := &annotation.Annotator{
-					KB:      kb.Store,
-					Pattern: p,
-					Crowd:   crowd.Perfect(3),
-					Oracle:  workload.WorldOracle{W: e.World, KB: kb},
-					Workers: workers,
-				}
-				ann.Annotate(spec.Table)
+				c.Annotate(spec.Table, p)
 			}
 		}
 	}

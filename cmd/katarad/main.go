@@ -30,7 +30,7 @@
 // Logs are structured (log/slog): text by default, JSON with -log-json.
 // Lifecycle events go to stdout, errors to stderr; every request is logged
 // with its method, path, status, duration, and — for job routes — the job
-// ID and shard count.
+// ID and worker count.
 //
 // With -journal-dir, every job transition is recorded in a crash-safe
 // write-ahead log: a submission is fsynced before it is acknowledged, so an

@@ -18,9 +18,11 @@
 //     decision context the memo cannot answer — or a replayed winner that
 //     differs from the session's pattern — is drift, triggering a recorded
 //     full re-clean;
-//   - annotation of the delta runs through annotation.Session, which carries
-//     the base run's question memo, coverage memo and seen-facts set, making
-//     the delta pass observationally the suffix of one long batch pass;
+//   - annotation of the delta runs the batch annotate stage over the row
+//     range [lo, n), with annotation.Session carrying the base run's question
+//     memo and seen-facts set and the session carrying its coverage memo,
+//     making the delta pass observationally the suffix of one long batch
+//     pass; only units the memo lacks are evaluated;
 //   - repairs reuse the cached §6.2 index while the KB is unchanged and rank
 //     only the delta's erroneous rows; any KB mutation (delta enrichment or
 //     ApplyKBDelta) re-ranks every erroneous row against a rebuilt index,
@@ -41,7 +43,7 @@ import (
 	"katara/internal/crowd"
 	"katara/internal/discovery"
 	"katara/internal/kbstats"
-	"katara/internal/provenance"
+	"katara/internal/pattern"
 	"katara/internal/rdf"
 	"katara/internal/repair"
 	"katara/internal/resolve"
@@ -87,9 +89,10 @@ type session struct {
 	// memo holds the crowd's §5 plurality decisions from the validated run;
 	// replaying MUVF from it is the drift detector.
 	memo *validation.AnswerMemo
-	// ann carries the annotation memo state (question memo, coverage memo,
-	// seen facts) across passes.
+	// ann carries the annotation memo state (question memo, seen facts)
+	// across passes; cover is the unit-indexed coverage memo.
 	ann        *annotation.Session
+	cover      []*pattern.Match
 	pattern    *Pattern
 	patternKey string
 	// report is the cumulative report, extended in place.
@@ -100,7 +103,6 @@ type session struct {
 	repairIx    *repair.Index
 	repairStamp int
 	kbStamp     int // kb.NumTriples at the last completed increment
-	shards      int
 	// dirty forces a full re-clean on the next increment: the session
 	// degraded (budget/deadline decisions are not replayable) or a prior
 	// increment failed.
@@ -109,20 +111,20 @@ type session struct {
 
 // beginIncremental opens a fresh session at the start of a Clean run, before
 // the pipeline can enrich the KB.
-func (c *Cleaner) beginIncremental(t *Table, shards int) {
+func (c *Cleaner) beginIncremental(t *Table) {
 	c.session = &session{
-		tbl:    t.Clone(),
-		base:   c.kb.CloneExact(),
-		memo:   validation.NewAnswerMemo(),
-		ann:    &annotation.Session{},
-		shards: shards,
+		tbl:  t.Clone(),
+		base: c.kb.CloneExact(),
+		memo: validation.NewAnswerMemo(),
+		ann:  &annotation.Session{},
 	}
 }
 
 // captureSession records the completed run's outcome on the session.
-func (c *Cleaner) captureSession(t *Table, rep *Report, in *table.Interned) {
+func (c *Cleaner) captureSession(t *Table, rep *Report, in *table.Interned, cover []*pattern.Match) {
 	s := c.session
 	s.in = in
+	s.cover = cover
 	s.rows = t.NumRows()
 	s.pattern = rep.Pattern
 	if rep.Pattern != nil {
@@ -201,19 +203,7 @@ func (c *Cleaner) replayPattern(ctx context.Context) (*Pattern, string) {
 		s.baseStats = kbstats.New(s.base)
 		s.baseResolver = resolve.New(s.base, c.opts.Threshold)
 	}
-	dopts := discovery.Options{
-		Threshold:     c.opts.Threshold,
-		MaxCandidates: c.opts.MaxCandidates,
-		MaxRows:       c.opts.MaxRows,
-		MinSupport:    c.opts.MinSupport,
-		Resolver:      s.baseResolver,
-	}
-	var cands *discovery.Candidates
-	if c.opts.Workers > 1 {
-		cands = discovery.GenerateParallel(s.tbl, s.baseStats, dopts, c.opts.Workers)
-	} else {
-		cands = discovery.Generate(s.tbl, s.baseStats, dopts)
-	}
+	cands := discovery.GenerateParallel(s.tbl, s.baseStats, c.discoveryOptions(s.baseResolver, nil), c.opts.Workers)
 	candidates := discovery.TopK(cands, c.opts.TopK)
 	if len(candidates) == 0 {
 		return nil, "no-pattern"
@@ -250,108 +240,74 @@ func (c *Cleaner) replayPattern(ctx context.Context) (*Pattern, string) {
 	return p, ""
 }
 
-// appendDelta runs annotation and repair over only the delta rows [lo, n)
-// and folds the outcome into the cumulative report.
+// appendDelta runs the batch annotate and repair stages over only the delta
+// rows [lo, n), inside the shared run scaffold, and folds the outcome into
+// the cumulative report.
 func (c *Cleaner) appendDelta(ctx context.Context, p *Pattern, lo int) (*Report, error) {
 	s := c.session
 	t := s.tbl
-	var tel *telemetry.Pipeline
-	switch {
-	case c.opts.Pipeline != nil:
-		tel = c.opts.Pipeline
-	case c.opts.Tracer != nil:
-		tel = telemetry.NewTraced(c.opts.Tracer)
-	case c.opts.Telemetry:
-		tel = telemetry.New()
-	}
-	c.crowd.SetTelemetry(tel)
-	defer c.crowd.SetTelemetry(nil)
-	c.resolver.SetTelemetry(tel)
-	defer c.resolver.SetTelemetry(nil)
-	rec := c.opts.Provenance
-	c.crowd.SetProvenance(rec)
-	defer c.crowd.SetProvenance(nil)
-	if c.opts.Deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.opts.Deadline)
-		defer cancel()
-	}
-	if c.opts.Budget > 0 || c.opts.BudgetAssignments > 0 {
-		c.crowd.SetBudget(crowd.NewBudget(c.opts.Budget, c.opts.BudgetAssignments))
-		defer c.crowd.SetBudget(nil)
-	}
-	root := tel.PushSpan("append")
-	root.SetStr("table", t.Name)
-	root.SetInt("rows", int64(t.NumRows()-lo))
-	if rec.Enabled() {
-		units := make([]int, t.NumRows())
-		for i := range units {
-			if s.in != nil {
-				units[i] = s.in.GroupOf(i)
-			} else {
-				units[i] = i
-			}
+	return c.run(ctx, "append", t, s.in, t.NumRows()-lo, func(ctx context.Context, tel *telemetry.Pipeline, root *telemetry.Span) (*Report, error) {
+		c.crowd.ResetStats()
+		kbBefore := c.kb.NumTriples()
+		start := tel.StartStage(telemetry.StageAnnotate)
+		ann := c.annotator(ctx, p, tel)
+		ann.Interned = s.in
+		ann.Session = s.ann
+		if n := numUnits(t, s.in); len(s.cover) < n {
+			grown := make([]*pattern.Match, n)
+			copy(grown, s.cover)
+			s.cover = grown
 		}
-		rec.SetRowUnits(units, s.in != nil)
-	}
+		res := c.annotateRows(ann, t, s.cover, lo)
+		tel.EndStage(telemetry.StageAnnotate, start)
 
-	c.crowd.ResetStats()
-	kbBefore := c.kb.NumTriples()
-	start := tel.StartStage(telemetry.StageAnnotate)
-	ann := c.annotator(ctx, p, tel)
-	ann.Interned = s.in
-	ann.Session = s.ann
-	res := ann.AnnotateRange(t, nil, lo, t.NumRows())
-	tel.EndStage(telemetry.StageAnnotate, start)
+		rep := s.report
+		// The replayed pattern carries the merged table's discovery score —
+		// what a batch run over the merged table reports.
+		rep.Pattern = p
+		s.pattern, s.patternKey = p, p.Key()
+		rep.Annotations = append(rep.Annotations, res.Tuples...)
+		rep.NewFacts = append(rep.NewFacts, res.NewFacts...)
+		rep.Degraded.Tuples += res.DegradedTuples
+		newErrs := res.Errors()
+		s.errs = append(s.errs, newErrs...)
 
-	rep := s.report
-	// The replayed pattern carries the merged table's discovery score — what
-	// a batch run over the merged table reports.
-	rep.Pattern = p
-	s.pattern, s.patternKey = p, p.Key()
-	rep.Annotations = append(rep.Annotations, res.Tuples...)
-	rep.NewFacts = append(rep.NewFacts, res.NewFacts...)
-	rep.Degraded.Tuples += res.DegradedTuples
-	newErrs := res.Errors()
-	s.errs = append(s.errs, newErrs...)
+		// Delta enrichment stales every earlier repair ranking: a batch run
+		// builds its index from the final KB, so re-rank everything.
+		// Otherwise the cached index still matches the KB and only the delta
+		// ranks.
+		enriched := c.kb.NumTriples() != kbBefore
+		if ctx.Err() != nil {
+			rep.Degraded.RepairsSkipped = true
+			tel.Inc(telemetry.DegradedDecisions)
+		} else if len(p.Edges) > 0 {
+			start = tel.StartStage(telemetry.StageRepair)
+			c.sessionRepairs(rep, p, newErrs, enriched, tel)
+			tel.EndStage(telemetry.StageRepair, start)
+		} else {
+			rep.Repairs = nil
+		}
 
-	// Delta enrichment stales every earlier repair ranking: a batch run
-	// builds its index from the final KB, so re-rank everything. Otherwise
-	// the cached index still matches the KB and only the delta ranks.
-	enriched := c.kb.NumTriples() != kbBefore
-	if ctx.Err() != nil {
-		rep.Degraded.RepairsSkipped = true
-		tel.Inc(telemetry.DegradedDecisions)
-	} else if len(p.Edges) > 0 {
-		start = tel.StartStage(telemetry.StageRepair)
-		c.sessionRepairs(rep, p, newErrs, enriched, tel, rec)
-		tel.EndStage(telemetry.StageRepair, start)
-	} else {
-		rep.Repairs = nil
-	}
-
-	dc := c.crowd.Stats()
-	rep.Crowd = addCrowdStats(rep.Crowd, dc)
-	rep.QuestionsAsked = rep.Crowd.Questions
-	if res.DegradedTuples > 0 || rep.Degraded.RepairsSkipped {
-		s.dirty = true
-	}
-	root.SetInt("questions", int64(dc.Questions))
-	root.End()
-	if tel != nil {
-		rep.Timings = tel.Snapshot()
-	}
-	s.rows = t.NumRows()
-	s.kbStamp = c.kb.NumTriples()
-	return rep, nil
+		dc := c.crowd.Stats()
+		rep.Crowd = addCrowdStats(rep.Crowd, dc)
+		rep.QuestionsAsked = rep.Crowd.Questions
+		if res.DegradedTuples > 0 || rep.Degraded.RepairsSkipped {
+			s.dirty = true
+		}
+		root.SetInt("questions", int64(dc.Questions))
+		s.rows = t.NumRows()
+		s.kbStamp = c.kb.NumTriples()
+		return rep, nil
+	})
 }
 
-// sessionRepairs ranks erroneous rows against the cached repair index,
-// rebuilding it when the KB moved past its stamp. With rerankAll the whole
-// cumulative error set is re-ranked and the report's repair map replaced;
-// otherwise only rows (the delta's errors) are added. Duplicate rows collapse
-// onto one ranking per distinct signature, like the batch path.
-func (c *Cleaner) sessionRepairs(rep *Report, p *Pattern, rows []int, rerankAll bool, tel *telemetry.Pipeline, rec *provenance.Recorder) {
+// sessionRepairs ranks erroneous rows against the session's cached repair
+// index, rebuilding it when the KB moved past its stamp. With rerankAll the
+// whole cumulative error set is re-ranked and the report's repair map
+// replaced; otherwise only rows (the delta's errors) are added. Ranking is
+// the batch stage's: one ranking per decision unit, fanned out across
+// Options.Workers ranges.
+func (c *Cleaner) sessionRepairs(rep *Report, p *Pattern, rows []int, rerankAll bool, tel *telemetry.Pipeline) {
 	s := c.session
 	if rerankAll {
 		rows = s.errs
@@ -364,45 +320,10 @@ func (c *Cleaner) sessionRepairs(rep *Report, p *Pattern, rows []int, rerankAll 
 		return
 	}
 	if s.repairIx == nil || s.repairStamp != c.kb.NumTriples() {
-		start := tel.StartStage(telemetry.StageBuildIndex)
-		s.repairIx = repair.BuildIndex(c.kb, p, repair.Options{
-			MaxGraphs: c.opts.RepairMaxGraphs,
-			Weights:   c.opts.RepairWeights,
-			Workers:   c.opts.Workers,
-			Telemetry: tel,
-		})
-		tel.EndStage(telemetry.StageBuildIndex, start)
+		s.repairIx = c.buildIndex(p, tel)
 		s.repairStamp = c.kb.NumTriples()
 	}
-	ix := s.repairIx
-	if tel != nil {
-		ix = ix.WithTelemetry(tel)
-	}
-	var groupRank map[int][]Repair
-	if s.in != nil {
-		groupRank = make(map[int][]Repair)
-	}
-	for _, row := range rows {
-		if s.in != nil {
-			g := s.in.GroupOf(row)
-			reps, ok := groupRank[g]
-			if !ok {
-				var considered int
-				reps, considered = ix.TopKStats(s.tbl.Rows[row], c.opts.RepairK)
-				groupRank[g] = reps
-				if rec.Enabled() {
-					rec.RecordRepair(g, considered, repairCandidates(reps))
-				}
-			}
-			rep.Repairs[row] = reps
-			continue
-		}
-		reps, considered := ix.TopKStats(s.tbl.Rows[row], c.opts.RepairK)
-		if rec.Enabled() {
-			rec.RecordRepair(row, considered, repairCandidates(reps))
-		}
-		rep.Repairs[row] = reps
-	}
+	c.rankRepairs(s.repairIx, s.tbl, rows, s.in, tel, c.opts.Provenance, rep.Repairs)
 }
 
 // recleanFromBase is the drift path: record the drift, rewind the KB to the
@@ -418,7 +339,7 @@ func (c *Cleaner) recleanFromBase(ctx context.Context, reason string, deltaRows 
 	c.kb = s.base.CloneExact()
 	c.stats = kbstats.New(c.kb)
 	c.resolver = resolve.New(c.kb, c.opts.Threshold)
-	rep, err := c.runClean(ctx, s.tbl, s.shards)
+	rep, err := c.runClean(ctx, s.tbl)
 	if err != nil && c.session != nil {
 		// Leave the session usable: the table keeps its rows, and the next
 		// increment re-attempts the full clean.
@@ -492,15 +413,19 @@ func (c *Cleaner) ApplyKBDeltaContext(ctx context.Context, adds []KBAddition) (*
 	// shrink (KB growth is monotone): annotations, facts and enrichment are
 	// untouched. Repairs are a pure function of the enlarged KB — re-rank
 	// every erroneous row against a rebuilt index, exactly the batch result.
-	rep := s.report
-	rep.Pattern = p
-	s.pattern, s.patternKey = p, p.Key()
-	if len(p.Edges) > 0 {
-		s.repairIx = nil
-		c.sessionRepairs(rep, p, nil, true, c.opts.Pipeline, c.opts.Provenance)
-	}
-	s.kbStamp = c.kb.NumTriples()
-	return rep, nil
+	return c.run(ctx, "kb-delta", s.tbl, s.in, 0, func(_ context.Context, tel *telemetry.Pipeline, _ *telemetry.Span) (*Report, error) {
+		rep := s.report
+		rep.Pattern = p
+		s.pattern, s.patternKey = p, p.Key()
+		if len(p.Edges) > 0 {
+			s.repairIx = nil
+			start := tel.StartStage(telemetry.StageRepair)
+			c.sessionRepairs(rep, p, nil, true, tel)
+			tel.EndStage(telemetry.StageRepair, start)
+		}
+		s.kbStamp = c.kb.NumTriples()
+		return rep, nil
+	})
 }
 
 // kbDeltaTouchesCrowdUnits reports whether any decision unit that involved

@@ -2,6 +2,7 @@ package katara
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -277,5 +278,40 @@ func TestAppendRecordsDriftProvenance(t *testing.T) {
 	audit := rec.BuildAudit()
 	if len(audit.Drifts) != 1 {
 		t.Fatalf("audit.Drifts = %+v", audit.Drifts)
+	}
+}
+
+// TestApplyKBDeltaTargetedTimings: the targeted KB-delta path (a label on a
+// known resource, far from every cell value) re-ranks repairs inside the
+// shared run scaffold, so with Telemetry on its report carries a fresh
+// snapshot holding exactly that pass — the build-index and repair stages,
+// once each — not the opening clean's stale timings.
+func TestApplyKBDeltaTargetedTimings(t *testing.T) {
+	kb, tbl := figure1()
+	rec := NewProvenance()
+	inc := NewCleaner(kb, TrustingCrowd(), Options{
+		Incremental: true, Telemetry: true, FactOracle: fig1Oracle{kb}, Provenance: rec,
+	})
+	if _, err := inc.Clean(tbl); err != nil {
+		t.Fatal(err)
+	}
+	adds := []KBAddition{{Subject: "y:Madrid", Predicate: rdf.IRILabel, Object: "Zzzqx", Literal: true}}
+	rep, err := inc.ApplyKBDelta(adds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := rec.Drifts(); len(d) != 0 {
+		t.Fatalf("delta re-cleaned (%+v); the test needs the targeted path", d)
+	}
+	if rep.Timings == nil {
+		t.Fatal("targeted ApplyKBDelta report has no Timings")
+	}
+	stages := map[string]int64{}
+	for _, st := range rep.Timings.Stages {
+		stages[st.Stage] = st.Calls
+	}
+	want := map[string]int64{"build-index": 1, "repair": 1}
+	if !reflect.DeepEqual(stages, want) {
+		t.Fatalf("targeted re-rank stages = %v, want %v", stages, want)
 	}
 }

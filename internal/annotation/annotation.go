@@ -8,8 +8,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"katara/internal/crowd"
 	"katara/internal/pattern"
@@ -183,13 +181,6 @@ type Annotator struct {
 	// occurrences of the same value validate without the crowd — the effect
 	// that makes RelationalTables' KB share high in Table 5.
 	Enrich bool
-	// Workers fans the per-tuple KB-coverage evaluation (step 1 of §6.1)
-	// out over a worker pool; <= 1 evaluates serially. Crowd questions are
-	// always issued serially in row order, so question budgets, majority
-	// votes and enrichment stay deterministic: results are identical for
-	// every worker count. Once enrichment mutates the KB, precomputed
-	// coverage is stale and later rows are re-evaluated serially.
-	Workers int
 	// Telemetry receives the TuplesAnnotated / KBLookups / CrowdQuestions
 	// counters; nil disables instrumentation.
 	Telemetry *telemetry.Pipeline
@@ -200,12 +191,13 @@ type Annotator struct {
 	// stays consistent with direct evaluation.
 	Resolver pattern.LabelSource
 	// Interned, when non-nil, is the distinct-signature view of the table
-	// being annotated (it must have been built from the same rows). Step-1
-	// KB coverage is then evaluated once per distinct signature and fanned
-	// out to duplicate rows, and crowd questions are memoized so one
-	// question answers every duplicate. Annotation outcomes are identical
-	// with or without it; only the question count (and therefore crowd cost)
-	// drops. The memo lives for one Annotate/AnnotateWith call.
+	// being annotated (it must have been built from the same rows). The
+	// decision unit is then the signature group instead of the row: step-1
+	// KB coverage is evaluated once per group and shared by its duplicate
+	// rows, and crowd questions are memoized so one question answers every
+	// duplicate. Annotation outcomes are identical with or without it; only
+	// the question count (and therefore crowd cost) drops. The question memo
+	// lives for one AnnotateRange pass unless a Session carries it.
 	Interned *table.Interned
 
 	// Prov records each tuple's evidence lineage — the KB facts that
@@ -215,16 +207,16 @@ type Annotator struct {
 	Prov *provenance.Recorder
 
 	// Session, when non-nil, carries annotation memo state across passes:
-	// the crowd-answer memo, the seen-facts set behind NewFacts dedup and
-	// the per-signature coverage memo all live in the Session instead of
-	// the single pass. Incremental cleaning annotates appended rows through
-	// AnnotateRange with the Session of the base run, which makes the delta
-	// pass behave exactly like the suffix of one long batch pass: a delta
-	// row whose signature (or question) was already decided fans the cached
+	// the crowd-answer memo and the seen-facts set behind NewFacts dedup
+	// live in the Session instead of the single pass. Incremental cleaning
+	// annotates appended rows through AnnotateRange with the Session (and
+	// the coverage memo) of the base run, which makes the delta pass behave
+	// exactly like the suffix of one long batch pass: a delta row whose
+	// signature (or question) was already decided reuses the cached
 	// verdict, and facts already reported are not re-listed.
 	Session *Session
 
-	// qmemo caches crowd answers within one AnnotateWith pass (dedup mode
+	// qmemo caches crowd answers within one AnnotateRange pass (dedup mode
 	// only). Keyed by prompt AND ground truth: two distinct KB terms can
 	// share a display label, yielding identical prompts with different
 	// truths. Degraded (unanswered) outcomes are never memoized — budget
@@ -257,7 +249,6 @@ type memoAnswer struct {
 type Session struct {
 	qmemo     map[questionKey]memoAnswer
 	seenFacts map[string]bool
-	covMemo   []*pattern.Match
 }
 
 // labels returns the label-resolution source: the shared resolver when
@@ -271,85 +262,63 @@ func (a *Annotator) labels() pattern.LabelSource {
 
 // Annotate labels every tuple of tbl.
 func (a *Annotator) Annotate(tbl *table.Table) *Result {
-	threshold := a.Threshold
-	if threshold == 0 {
-		threshold = similarity.DefaultThreshold
-	}
-	return a.AnnotateWith(tbl, a.precomputeMatches(tbl, threshold))
+	return a.AnnotateRange(tbl, nil, 0, tbl.NumRows())
 }
 
-// EvaluateCoverage evaluates the step-1 KB coverage (§6.1) of rows
-// [lo, hi) into out, which must have length tbl.NumRows(). Coverage is a
-// pure function of the (read-only) KB, the pattern and the tuple, so
-// disjoint ranges may be evaluated concurrently — this is the per-shard
-// entry point of a row-range sharded run. tel receives the KBLookups
-// counter and may be a shard-local pipeline merged by the caller. Call
+// threshold resolves the label-similarity threshold.
+func (a *Annotator) threshold() float64 {
+	if a.Threshold == 0 {
+		return similarity.DefaultThreshold
+	}
+	return a.Threshold
+}
+
+// interned returns the distinct-signature view when it was built from
+// tbl's rows, nil otherwise (a mismatched view is ignored).
+func (a *Annotator) interned(tbl *table.Table) *table.Interned {
+	if a.Interned != nil && a.Interned.NumRows() == tbl.NumRows() {
+		return a.Interned
+	}
+	return nil
+}
+
+// EvaluateCoverage evaluates the step-1 KB coverage (§6.1) of the listed
+// decision units into cover, which is indexed by unit: the signature group
+// under Interned (evaluated once through its representative row), the row
+// otherwise. Coverage is a pure function of the read-only KB, the pattern
+// and the tuple, so disjoint unit lists may be evaluated concurrently —
+// this is the per-range body of a coverage fan-out, and tel (one KBLookups
+// per unit) may be a range-local pipeline merged by the caller. Call
 // KB.WarmClosures() before fanning out: the lazily-memoised hierarchy
 // closures must not be forced by racing workers.
-func (a *Annotator) EvaluateCoverage(tbl *table.Table, lo, hi int, out []*pattern.Match, tel *telemetry.Pipeline) {
-	threshold := a.Threshold
-	if threshold == 0 {
-		threshold = similarity.DefaultThreshold
-	}
+func (a *Annotator) EvaluateCoverage(tbl *table.Table, units []int, cover []*pattern.Match, tel *telemetry.Pipeline) {
+	threshold := a.threshold()
 	labels := a.labels()
-	if hi > tbl.NumRows() {
-		hi = tbl.NumRows()
-	}
-	for i := lo; i < hi; i++ {
-		tel.Inc(telemetry.KBLookups)
-		out[i] = pattern.EvaluateWith(a.Pattern, a.KB, labels, tbl.Rows[i], threshold)
-	}
-}
-
-// EvaluateCoverageGroups is EvaluateCoverage over distinct-signature groups:
-// groups [lo, hi) of the interned view's group list are evaluated once via
-// their representative row and the resulting Match fanned out to every
-// member row of out (which must have length tbl.NumRows()). Coverage is a
-// pure function of the tuple's values, so duplicate rows share the verdict —
-// and safely share the *pattern.Match itself, which every consumer treats as
-// read-only. Disjoint group ranges may run concurrently, exactly like
-// EvaluateCoverage's row ranges.
-func (a *Annotator) EvaluateCoverageGroups(tbl *table.Table, groups []table.Group, lo, hi int, out []*pattern.Match, tel *telemetry.Pipeline) {
-	threshold := a.Threshold
-	if threshold == 0 {
-		threshold = similarity.DefaultThreshold
-	}
-	labels := a.labels()
-	if hi > len(groups) {
-		hi = len(groups)
-	}
-	for g := lo; g < hi; g++ {
-		gr := groups[g]
-		tel.Inc(telemetry.KBLookups)
-		m := pattern.EvaluateWith(a.Pattern, a.KB, labels, tbl.Rows[gr.Rep], threshold)
-		for _, row := range gr.Rows {
-			out[row] = m
+	in := a.interned(tbl)
+	for _, u := range units {
+		row := u
+		if in != nil {
+			row = in.Group(u).Rep
 		}
+		tel.Inc(telemetry.KBLookups)
+		cover[u] = pattern.EvaluateWith(a.Pattern, a.KB, labels, tbl.Rows[row], threshold)
 	}
 }
 
-// AnnotateWith labels every tuple of tbl, with the step-1 KB coverage
-// optionally precomputed in matches (nil = evaluate inline per row; the
-// coverage of row i, when present, must be matches[i]). Step 2 — crowd
-// consultation and enrichment — always runs serially in row order
-// regardless of how matches was produced, which is the shard-determinism
-// argument: a sharded run fans only the KB-pure coverage evaluation out and
-// feeds this same serial pass, so its report is byte-identical to the
-// unsharded run's. Once enrichment mutates the KB the precomputed coverage
-// is stale and later rows are re-evaluated inline.
-func (a *Annotator) AnnotateWith(tbl *table.Table, matches []*pattern.Match) *Result {
-	return a.AnnotateRange(tbl, matches, 0, tbl.NumRows())
-}
-
-// AnnotateRange is AnnotateWith restricted to rows [lo, hi) — the
-// incremental entry point: an append pass annotates only the delta rows,
-// with the Session carrying the base run's memo state so the pass is
-// observationally the suffix of one batch run over the merged table.
-func (a *Annotator) AnnotateRange(tbl *table.Table, matches []*pattern.Match, lo, hi int) *Result {
-	threshold := a.Threshold
-	if threshold == 0 {
-		threshold = similarity.DefaultThreshold
-	}
+// AnnotateRange labels rows [lo, hi) of tbl. cover is the unit-indexed
+// step-1 coverage memo (see EvaluateCoverage; nil = a private memo for this
+// pass): a unit's coverage is taken from it when present and otherwise
+// evaluated inline and stored, so a caller may fill it concurrently
+// beforehand. Step 2 — crowd consultation and enrichment — always runs
+// serially in row order regardless of how cover was filled, which is the
+// fan-out determinism argument: only the KB-pure coverage evaluation runs
+// in parallel, so the result is identical for every worker count. When
+// enrichment mutates the KB every memoised verdict is stale, and cover is
+// cleared. An incremental append pass annotates only the delta rows, with
+// the Session and cover of the base run, so the pass is observationally
+// the suffix of one batch run over the merged table.
+func (a *Annotator) AnnotateRange(tbl *table.Table, cover []*pattern.Match, lo, hi int) *Result {
+	threshold := a.threshold()
 	res := &Result{}
 	seenFacts := map[string]bool{}
 	if a.Session != nil {
@@ -358,31 +327,24 @@ func (a *Annotator) AnnotateRange(tbl *table.Table, matches []*pattern.Match, lo
 		}
 		seenFacts = a.Session.seenFacts
 	}
-	enriched := false // KB mutated: precomputed coverage is stale
-	// Dedup mode: coverage memoized per distinct signature (invalidated
-	// whenever enrichment mutates the KB — a changed KB can change any
-	// signature's coverage) and crowd answers memoized per question for the
-	// duration of the pass (or the session, when one is attached). Outcomes
-	// are identical either way; only the question count drops.
-	in := a.Interned
-	if in != nil && in.NumRows() != tbl.NumRows() {
-		in = nil // view built from different rows: ignore it
+	in := a.interned(tbl)
+	if cover == nil {
+		units := tbl.NumRows()
+		if in != nil {
+			units = in.NumGroups()
+		}
+		cover = make([]*pattern.Match, units)
 	}
-	var covMemo []*pattern.Match
+	// Dedup mode: crowd answers are memoized per question for the duration
+	// of the pass (or the session, when one is attached). Outcomes are
+	// identical either way; only the question count drops.
 	if in != nil {
 		if a.Session != nil {
-			if len(a.Session.covMemo) < in.NumGroups() {
-				grown := make([]*pattern.Match, in.NumGroups())
-				copy(grown, a.Session.covMemo)
-				a.Session.covMemo = grown
-			}
-			covMemo = a.Session.covMemo
 			if a.Session.qmemo == nil {
 				a.Session.qmemo = make(map[questionKey]memoAnswer)
 			}
 			a.qmemo = a.Session.qmemo
 		} else {
-			covMemo = make([]*pattern.Match, in.NumGroups())
 			a.qmemo = make(map[questionKey]memoAnswer)
 		}
 		defer func() { a.qmemo = nil }()
@@ -396,44 +358,31 @@ func (a *Annotator) AnnotateRange(tbl *table.Table, matches []*pattern.Match, lo
 		// annotateTuple (serially, on this goroutine) attach as its children.
 		tStart := a.Telemetry.StartTimer()
 		tSpan := a.Telemetry.PushSpan("annotate-tuple")
-		var m *pattern.Match
-		if matches != nil && !enriched {
-			m = matches[row]
+		unit := row
+		if in != nil {
+			unit = in.GroupOf(row)
 		}
-		gi := -1
-		if m == nil && in != nil {
-			gi = in.GroupOf(row)
-			m = covMemo[gi]
-		}
+		m := cover[unit]
 		if m == nil {
 			a.Telemetry.Inc(telemetry.KBLookups)
 			m = pattern.EvaluateWith(a.Pattern, a.KB, a.labels(), tbl.Rows[row], threshold)
-			if gi >= 0 {
-				covMemo[gi] = m
-			}
+			cover[unit] = m
 		}
 		// Provenance is recorded once per decision unit: the first row of a
 		// signature group writes the unit's evidence, duplicates share it on
 		// read. A degraded record is retried — degradation is a property of
 		// the run's remaining budget, not of the signature.
 		a.provUnit = -1
-		if a.Prov.Enabled() {
-			unit := row
-			if in != nil {
-				unit = in.GroupOf(row)
-			}
-			if a.Prov.BeginTuple(unit) {
-				a.provUnit = unit
-			}
+		if a.Prov.Enabled() && a.Prov.BeginTuple(unit) {
+			a.provUnit = unit
 		}
 		ta, applied := a.annotateTuple(tbl, row, m)
 		if a.provUnit >= 0 {
 			a.Prov.RecordVerdict(a.provUnit, ta.Label.String(), ta.Degraded, m.Full)
 		}
 		if applied {
-			enriched = true
 			// The KB changed: every memoized coverage verdict is stale.
-			clear(covMemo)
+			clear(cover)
 		}
 		tSpan.SetInt("row", int64(row))
 		tSpan.SetStr("label", ta.Label.String())
@@ -586,61 +535,8 @@ func factKey(f Fact) string {
 	return fmt.Sprintf("r|%s|%d|%s", similarity.Normalize(f.Subject), f.Prop, similarity.Normalize(f.Object))
 }
 
-// precomputeMatches evaluates every tuple's KB coverage (step 1 of §6.1)
-// concurrently — the stage the paper distributes, since coverage queries are
-// independent per tuple. Returns nil when the pool would not pay off; the
-// caller then evaluates serially. The workers only read the KB, so the
-// lazily-memoised hierarchy closures are forced up front (the annotation
-// analogue of kbstats.Stats.Prewarm).
-func (a *Annotator) precomputeMatches(tbl *table.Table, threshold float64) []*pattern.Match {
-	n := tbl.NumRows()
-	in := a.Interned
-	if in != nil && in.NumRows() != n {
-		in = nil
-	}
-	// Under dedup the work unit is the distinct signature, not the row:
-	// a heavily duplicated table with few signatures is not worth a pool
-	// (AnnotateWith's per-signature memo covers it serially).
-	units := n
-	if in != nil {
-		units = in.NumGroups()
-	}
-	if a.Workers <= 1 || units < 2*a.Workers {
-		return nil
-	}
-	a.KB.WarmClosures()
-	labels := a.labels()
-	matches := make([]*pattern.Match, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < a.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= units {
-					return
-				}
-				a.Telemetry.Inc(telemetry.KBLookups)
-				if in != nil {
-					gr := in.Group(i)
-					m := pattern.EvaluateWith(a.Pattern, a.KB, labels, tbl.Rows[gr.Rep], threshold)
-					for _, row := range gr.Rows {
-						matches[row] = m
-					}
-				} else {
-					matches[i] = pattern.EvaluateWith(a.Pattern, a.KB, labels, tbl.Rows[i], threshold)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return matches
-}
-
 // annotateTuple runs §6.1's two steps for one tuple, with the step-1 KB
-// coverage m already evaluated (possibly by the worker pool). The second
+// coverage m already evaluated (possibly by a coverage fan-out). The second
 // return reports whether enrichment actually mutated the KB.
 func (a *Annotator) annotateTuple(tbl *table.Table, row int, m *pattern.Match) (TupleAnnotation, bool) {
 	ta := TupleAnnotation{Row: row, NodeByKB: map[int]bool{}}
@@ -832,11 +728,7 @@ func (a *Annotator) apply(f Fact) bool {
 // whether a resource was minted — a KB mutation in its own right, since the
 // new exact-match label changes later MatchLabel results.
 func (a *Annotator) resourceFor(value string) (rdf.ID, bool) {
-	threshold := a.Threshold
-	if threshold == 0 {
-		threshold = similarity.DefaultThreshold
-	}
-	if hits := a.labels().MatchLabel(value, threshold); len(hits) > 0 {
+	if hits := a.labels().MatchLabel(value, a.threshold()); len(hits) > 0 {
 		return hits[0].Resource, false
 	}
 	r := a.KB.Res("enriched:" + similarity.Normalize(value))

@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"katara/internal/crowd"
+	"katara/internal/fanout"
 	"katara/internal/pattern"
+	"katara/internal/provenance"
 	"katara/internal/rdf"
 	"katara/internal/table"
 	"katara/internal/telemetry"
@@ -249,10 +251,10 @@ func TestNoisyCrowdCanMislabel(t *testing.T) {
 	}
 }
 
-// bigFixture widens the Fig. 1 table so the worker pool actually engages
-// (precomputeMatches requires NumRows >= 2*Workers). Row order interleaves
-// KB-covered, crowd-confirmable and erroneous tuples, including duplicates
-// whose outcome depends on enrichment from earlier rows.
+// bigFixture widens the Fig. 1 table so a coverage fan-out actually splits
+// (ranges hold at least two units). Row order interleaves KB-covered,
+// crowd-confirmable and erroneous tuples, including duplicates whose outcome
+// depends on enrichment from earlier rows.
 func bigFixture() *fixture {
 	f := newFixture()
 	f.tbl.Append("Klate", "S. Africa", "Pretoria") // KB-covered after enrichment
@@ -265,6 +267,9 @@ func bigFixture() *fixture {
 	return f
 }
 
+// TestParallelAnnotationMatchesSerial: coverage evaluated up front by a
+// fan-out over unit ranges, then the serial pass, equals the plain serial
+// Annotate — including when enrichment invalidates the precomputed memo.
 func TestParallelAnnotationMatchesSerial(t *testing.T) {
 	for _, enrich := range []bool{false, true} {
 		// Fresh fixtures per run: with Enrich on, the annotator mutates
@@ -277,9 +282,15 @@ func TestParallelAnnotationMatchesSerial(t *testing.T) {
 		for _, workers := range []int{2, 4, 8} {
 			pf := bigFixture()
 			par := newAnnotator(pf, enrich)
-			par.Workers = workers
 			par.Telemetry = telemetry.New()
-			parRes := par.Annotate(pf.tbl)
+			n := pf.tbl.NumRows()
+			units := allUnits(n)
+			cover := make([]*pattern.Match, n)
+			pf.kb.WarmClosures()
+			fanout.Run(n, workers, par.Telemetry, nil, func(r fanout.Range, tel *telemetry.Pipeline, _ *provenance.Recorder) {
+				par.EvaluateCoverage(pf.tbl, units[r.Lo:r.Hi], cover, tel)
+			})
+			parRes := par.AnnotateRange(pf.tbl, cover, 0, n)
 			if !reflect.DeepEqual(serialRes, parRes) {
 				t.Fatalf("enrich=%v workers=%d: parallel result differs from serial\nserial: %+v\nparallel: %+v",
 					enrich, workers, serialRes.Tuples, parRes.Tuples)
@@ -288,25 +299,12 @@ func TestParallelAnnotationMatchesSerial(t *testing.T) {
 				t.Fatalf("enrich=%v workers=%d: %d crowd questions, serial asked %d",
 					enrich, workers, q, serialQ)
 			}
-			if got := par.Telemetry.Get(telemetry.TuplesAnnotated); got != int64(pf.tbl.NumRows()) {
-				t.Fatalf("TuplesAnnotated = %d, want %d", got, pf.tbl.NumRows())
+			if got := par.Telemetry.Get(telemetry.TuplesAnnotated); got != int64(n) {
+				t.Fatalf("TuplesAnnotated = %d, want %d", got, n)
 			}
-			if par.Telemetry.Get(telemetry.KBLookups) == 0 {
-				t.Fatal("parallel run recorded no KB lookups")
+			if par.Telemetry.Get(telemetry.KBLookups) < int64(n) {
+				t.Fatal("range telemetry not merged: fewer KB lookups than units")
 			}
 		}
-	}
-}
-
-func TestSmallTableSkipsWorkerPool(t *testing.T) {
-	f := newFixture() // 3 rows < 2*Workers, so precompute must bail out
-	ann := newAnnotator(f, false)
-	ann.Workers = 4
-	if m := ann.precomputeMatches(f.tbl, 0.7); m != nil {
-		t.Fatalf("precomputeMatches on a tiny table = %v, want nil", m)
-	}
-	res := ann.Annotate(f.tbl)
-	if len(res.Tuples) != 3 {
-		t.Fatalf("annotated %d tuples, want 3", len(res.Tuples))
 	}
 }

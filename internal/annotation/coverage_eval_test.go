@@ -9,17 +9,26 @@ import (
 	"katara/internal/telemetry"
 )
 
-// TestEvaluateCoverageMatchesInline: the per-shard coverage entry point must
-// produce exactly the matches the serial annotator evaluates inline —
-// AnnotateWith over the precomputed slice equals Annotate from scratch.
+// allUnits lists the units [0, n).
+func allUnits(n int) []int {
+	units := make([]int, n)
+	for i := range units {
+		units[i] = i
+	}
+	return units
+}
+
+// TestEvaluateCoverageMatchesInline: the unit-based coverage entry point
+// must produce exactly the matches the serial annotator evaluates inline —
+// AnnotateRange over the precomputed memo equals Annotate from scratch.
 func TestEvaluateCoverageMatchesInline(t *testing.T) {
 	f := newFixture()
 	tel := telemetry.New()
 
 	ann := newAnnotator(f, false)
-	out := make([]*pattern.Match, f.tbl.NumRows())
-	ann.EvaluateCoverage(f.tbl, 0, f.tbl.NumRows(), out, tel)
-	for i, m := range out {
+	cover := make([]*pattern.Match, f.tbl.NumRows())
+	ann.EvaluateCoverage(f.tbl, allUnits(f.tbl.NumRows()), cover, tel)
+	for i, m := range cover {
 		if m == nil {
 			t.Fatalf("row %d: nil match", i)
 		}
@@ -28,34 +37,39 @@ func TestEvaluateCoverageMatchesInline(t *testing.T) {
 		t.Fatalf("KBLookups = %d, want one per row (%d)", got, f.tbl.NumRows())
 	}
 
-	withPre := newAnnotator(newFixture(), false).AnnotateWith(f.tbl, out)
+	pre := newAnnotator(newFixture(), false)
+	pre.Telemetry = telemetry.New()
+	withPre := pre.AnnotateRange(f.tbl, cover, 0, f.tbl.NumRows())
 	inline := newAnnotator(newFixture(), false).Annotate(f.tbl)
 	if !reflect.DeepEqual(withPre, inline) {
-		t.Fatalf("AnnotateWith(precomputed) differs from inline Annotate\npre:    %+v\ninline: %+v",
+		t.Fatalf("AnnotateRange(precomputed) differs from inline Annotate\npre:    %+v\ninline: %+v",
 			withPre.Tuples, inline.Tuples)
+	}
+	if got := pre.Telemetry.Get(telemetry.KBLookups); got != 0 {
+		t.Fatalf("AnnotateRange re-evaluated %d memoised units", got)
 	}
 }
 
-// TestEvaluateCoverageClampsRange: an out-of-bounds hi is clamped to the
-// table, leaving rows outside [lo, hi) untouched.
-func TestEvaluateCoverageClampsRange(t *testing.T) {
+// TestEvaluateCoverageOnlyListedUnits: units missing from the list are left
+// untouched, so a delta pass evaluates only what its memo lacks.
+func TestEvaluateCoverageOnlyListedUnits(t *testing.T) {
 	f := newFixture()
 	ann := newAnnotator(f, false)
-	out := make([]*pattern.Match, f.tbl.NumRows())
-	ann.EvaluateCoverage(f.tbl, 1, 100, out, telemetry.New())
-	if out[0] != nil {
-		t.Fatal("row 0 outside [1, hi) was evaluated")
+	cover := make([]*pattern.Match, f.tbl.NumRows())
+	ann.EvaluateCoverage(f.tbl, []int{1, 2}, cover, telemetry.New())
+	if cover[0] != nil {
+		t.Fatal("unit 0, not listed, was evaluated")
 	}
 	for i := 1; i < f.tbl.NumRows(); i++ {
-		if out[i] == nil {
-			t.Fatalf("row %d inside the clamped range not evaluated", i)
+		if cover[i] == nil {
+			t.Fatalf("listed unit %d not evaluated", i)
 		}
 	}
 }
 
-// TestEvaluateCoverageGroups: duplicate rows share one evaluation — the
-// group variant evaluates each signature's representative once and fans the
-// *same* Match out to every member, matching the per-row variant's verdicts.
+// TestEvaluateCoverageGroups: under dedup the unit is the signature group —
+// each group is evaluated once through its representative, and the verdict
+// matches the per-row evaluation of every member.
 func TestEvaluateCoverageGroups(t *testing.T) {
 	f := newFixture()
 	// Duplicate every fixture row once so groups have 2 members each.
@@ -69,39 +83,33 @@ func TestEvaluateCoverageGroups(t *testing.T) {
 	}
 
 	ann := newAnnotator(f, false)
+	ann.Interned = in
 	tel := telemetry.New()
-	byGroup := make([]*pattern.Match, f.tbl.NumRows())
-	ann.EvaluateCoverageGroups(f.tbl, in.Groups(), 0, in.NumGroups(), byGroup, tel)
+	byGroup := make([]*pattern.Match, in.NumGroups())
+	ann.EvaluateCoverage(f.tbl, allUnits(in.NumGroups()), byGroup, tel)
 	if got := tel.Get(telemetry.KBLookups); got != int64(n) {
 		t.Fatalf("KBLookups = %d, want one per group (%d)", got, n)
 	}
 
+	ann.Interned = nil
 	byRow := make([]*pattern.Match, f.tbl.NumRows())
-	ann.EvaluateCoverage(f.tbl, 0, f.tbl.NumRows(), byRow, telemetry.New())
-	for i := range byGroup {
-		if byGroup[i] == nil {
-			t.Fatalf("row %d: nil match from group evaluation", i)
-		}
-		if !reflect.DeepEqual(byGroup[i], byRow[i]) {
-			t.Fatalf("row %d: group match %+v != per-row match %+v", i, byGroup[i], byRow[i])
-		}
-	}
-	// Members of one group share the identical Match pointer.
-	for _, gr := range in.Groups() {
-		for _, row := range gr.Rows {
-			if byGroup[row] != byGroup[gr.Rep] {
-				t.Fatalf("row %d does not share its group rep %d's match", row, gr.Rep)
-			}
+	ann.EvaluateCoverage(f.tbl, allUnits(f.tbl.NumRows()), byRow, telemetry.New())
+	for row := range byRow {
+		if g := byGroup[in.GroupOf(row)]; !reflect.DeepEqual(g, byRow[row]) {
+			t.Fatalf("row %d: group match %+v != per-row match %+v", row, g, byRow[row])
 		}
 	}
 
-	// A clamped group range leaves other groups' rows untouched.
-	partial := make([]*pattern.Match, f.tbl.NumRows())
-	ann.EvaluateCoverageGroups(f.tbl, in.Groups(), 1, 100, partial, telemetry.New())
-	for _, row := range in.Group(0).Rows {
-		if partial[row] != nil {
-			t.Fatalf("row %d of group 0 outside [1, hi) was evaluated", row)
-		}
+	// A dedup pass over the group memo fans each verdict out to every
+	// duplicate without evaluating anything again.
+	ann.Interned = in
+	ann.Telemetry = telemetry.New()
+	res := ann.AnnotateRange(f.tbl, byGroup, 0, f.tbl.NumRows())
+	if len(res.Tuples) != f.tbl.NumRows() {
+		t.Fatalf("annotated %d tuples, want %d", len(res.Tuples), f.tbl.NumRows())
+	}
+	if got := ann.Telemetry.Get(telemetry.KBLookups); got != 0 {
+		t.Fatalf("dedup pass re-evaluated %d memoised groups", got)
 	}
 }
 

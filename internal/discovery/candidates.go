@@ -6,9 +6,12 @@
 package discovery
 
 import (
+	"runtime"
 	"sort"
 
+	"katara/internal/fanout"
 	"katara/internal/kbstats"
+	"katara/internal/provenance"
 	"katara/internal/rdf"
 	"katara/internal/resolve"
 	"katara/internal/similarity"
@@ -45,12 +48,12 @@ type Options struct {
 	// over 30 machines; sampling is our single-machine equivalent.
 	MaxRows int
 	// Telemetry receives the KBLookups counter (one per uncached label
-	// resolution); nil disables instrumentation. Counters are atomic, so
-	// GenerateParallel's shards may share one pipeline.
+	// resolution); nil disables instrumentation. GenerateParallel's ranges
+	// record into child pipelines merged into it after the join.
 	Telemetry *telemetry.Pipeline
 	// Resolver, when non-nil, handles label resolution instead of direct
 	// kb.MatchLabel calls — typically a *resolve.Cache shared across pipeline
-	// stages (and across GenerateParallel shards) so each distinct cell value
+	// stages (and across GenerateParallel ranges) so each distinct cell value
 	// hits the KB once. It must resolve against the same KB as the stats.
 	Resolver resolve.Source
 }
@@ -157,72 +160,73 @@ type weightedMatch struct {
 // Q¹_rels/Q²_rels lookups (resource-object and literal-object
 // relationships, with subPropertyOf* generalisation).
 func Generate(tbl *table.Table, stats *kbstats.Stats, opts Options) *Candidates {
+	return GenerateParallel(tbl, stats, opts, 1)
+}
+
+// GenerateParallel is Generate with the per-row evidence lookups fanned out
+// over at most workers contiguous ranges of the sampled rows (<= 0 means
+// GOMAXPROCS) — the single-machine analogue of the paper's distributed
+// candidate generation ("we implemented a distributed version of candidate
+// types/relationships generation by distributing the 316K tuples over 30
+// machines, and all candidates are collected into one machine", §7.1). Each
+// range resolves its rows against the shared read-only KB statistics with
+// its own per-value caches; the tf-idf scoring then runs once over the
+// evidence in row order, so the result is identical for every worker count.
+func GenerateParallel(tbl *table.Table, stats *kbstats.Stats, opts Options, workers int) *Candidates {
 	opts = opts.withDefaults()
-	kb := stats.KB()
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > 1 {
+		// Ranges read the shared Stats concurrently; its lazily-memoised
+		// pieces (closures, instance lists) must be computed up front.
+		stats.Prewarm()
+	}
 	rows := sampleRows(tbl.NumRows(), opts.MaxRows)
-
 	c := &Candidates{Table: tbl, Rows: rows, Stats: stats, Options: opts}
-
-	src := resolve.Source(kb)
-	if opts.Resolver != nil {
-		src = opts.Resolver
-	}
-
-	// Per-value caches: tables are redundant, the KB is not small. The
-	// weighting below is per-Options, so the weighted matches stay local even
-	// when raw resolution goes through a shared opts.Resolver.
-	resCache := map[string][]weightedMatch{}
-	typeCache := map[string]map[rdf.ID]float64{}
-	resolveVal := func(val string) []weightedMatch {
-		if r, ok := resCache[val]; ok {
-			return r
-		}
-		opts.Telemetry.Inc(telemetry.KBLookups)
-		hits := src.MatchLabel(val, opts.Threshold)
-		var out []weightedMatch
-		if len(hits) > 0 {
-			best := hits[0].Score
-			for _, m := range hits {
-				if m.Score < best-opts.Band {
-					break // hits are sorted by score
-				}
-				w := 1.0
-				for e := 0; e < opts.MatchExponent; e++ {
-					w *= m.Score
-				}
-				out = append(out, weightedMatch{res: m.Resource, weight: w})
+	ncols := tbl.NumCols()
+	type pairKey struct{ from, to int }
+	var pairs []pairKey
+	for i := 0; i < ncols; i++ {
+		for j := 0; j < ncols; j++ {
+			if i != j {
+				pairs = append(pairs, pairKey{i, j})
 			}
 		}
-		resCache[val] = out
-		return out
 	}
-	typesOf := func(val string) map[rdf.ID]float64 {
-		if t, ok := typeCache[val]; ok {
-			return t
-		}
-		set := map[rdf.ID]float64{}
-		for _, m := range resolveVal(val) {
-			for _, t := range kb.AllTypes(m.res) {
-				if m.weight > set[t] {
-					set[t] = m.weight
-				}
+
+	// Per-row evidence (§4.1): each sampled row's cell types and cell-pair
+	// relationships, written by the range that owns the row.
+	cellTypes := make([][]map[rdf.ID]float64, ncols)
+	for col := range cellTypes {
+		cellTypes[col] = make([]map[rdf.ID]float64, len(rows))
+	}
+	cellRels := make([][]relEvidence, len(pairs))
+	for pi := range cellRels {
+		cellRels[pi] = make([]relEvidence, len(rows))
+	}
+	fanout.Run(len(rows), workers, opts.Telemetry, nil, func(r fanout.Range, tel *telemetry.Pipeline, _ *provenance.Recorder) {
+		ev := newEvidence(stats, opts, tel)
+		for ri := r.Lo; ri < r.Hi; ri++ {
+			row := rows[ri]
+			for col := 0; col < ncols; col++ {
+				cellTypes[col][ri] = ev.typesOf(tbl.Cell(row, col))
+			}
+			for pi, pk := range pairs {
+				cellRels[pi][ri] = ev.relsOf(tbl.Cell(row, pk.from), tbl.Cell(row, pk.to))
 			}
 		}
-		typeCache[val] = set
-		return set
-	}
+	})
 
 	minSupport := opts.MinSupport * float64(len(rows))
 
 	// Candidate types per column (§4.1, Q_types + tf-idf ranking).
-	for col := 0; col < tbl.NumCols(); col++ {
-		cc := ColumnCandidates{Col: col, CellTypes: make([]map[rdf.ID]float64, len(rows))}
+	for col := 0; col < ncols; col++ {
+		cc := ColumnCandidates{Col: col, CellTypes: cellTypes[col]}
 		tfidf := map[rdf.ID]float64{}
 		support := map[rdf.ID]int{}
 		weighted := map[rdf.ID]float64{}
-		for i, row := range rows {
-			cellT := typesOf(tbl.Cell(row, col))
-			cc.CellTypes[i] = cellT
+		for _, cellT := range cc.CellTypes {
 			idf := stats.IDF(len(cellT))
 			for t, w := range cellT {
 				tfidf[t] += w * stats.TF(t) * idf
@@ -253,116 +257,194 @@ func Generate(tbl *table.Table, stats *kbstats.Stats, opts Options) *Candidates 
 	}
 
 	// Candidate relationships per ordered column pair (§4.1, Q¹/Q²_rels).
-	pairCache := map[[2]string]map[rdf.ID]float64{}
-	litCache := map[[2]string]map[rdf.ID]float64{}
-	relsBetween := func(a, b string) map[rdf.ID]float64 {
-		key := [2]string{a, b}
-		if r, ok := pairCache[key]; ok {
-			return r
-		}
-		set := map[rdf.ID]float64{}
-		for _, xi := range resolveVal(a) {
-			for _, xj := range resolveVal(b) {
-				w := xi.weight * xj.weight
-				for _, p := range kb.PredicatesBetweenSub(xi.res, xj.res) {
-					if w > set[p] {
-						set[p] = w
-					}
-				}
+	for pi, pk := range pairs {
+		pc := PairCandidates{From: pk.from, To: pk.to, CellRels: make([]map[rdf.ID]float64, len(rows))}
+		tfidf := map[rdf.ID]float64{}
+		support := map[rdf.ID]int{}
+		weighted := map[rdf.ID]float64{}
+		literalW, resourceW := 0.0, 0.0
+		for ri, e := range cellRels[pi] {
+			pc.CellRels[ri] = e.rels
+			literalW += e.literalW
+			resourceW += e.resourceW
+			idf := stats.RelIDF(len(e.rels))
+			for p, w := range e.rels {
+				tfidf[p] += w * stats.RelTF(p) * idf
+				support[p]++
+				weighted[p] += w
 			}
 		}
-		pairCache[key] = set
-		return set
-	}
-	relsToLiteral := func(a, b string) map[rdf.ID]float64 {
-		key := [2]string{a, b}
-		if r, ok := litCache[key]; ok {
-			return r
-		}
-		set := map[rdf.ID]float64{}
-		lit := kb.LookupTerm(rdf.Lit(b))
-		if lit != rdf.NoID {
-			for _, xi := range resolveVal(a) {
-				for _, p := range kb.PredicatesBetweenSub(xi.res, lit) {
-					if xi.weight > set[p] {
-						set[p] = xi.weight
-					}
-				}
+		maxScore := 0.0
+		for p, v := range tfidf {
+			if weighted[p] >= minSupport && v > maxScore {
+				maxScore = v
 			}
 		}
-		litCache[key] = set
-		return set
-	}
-
-	for i := 0; i < tbl.NumCols(); i++ {
-		for j := 0; j < tbl.NumCols(); j++ {
-			if i == j {
+		if maxScore == 0 {
+			continue
+		}
+		pc.LiteralObject = literalW > resourceW
+		for p, v := range tfidf {
+			if weighted[p] < minSupport {
 				continue
 			}
-			pc := PairCandidates{From: i, To: j, CellRels: make([]map[rdf.ID]float64, len(rows))}
-			tfidf := map[rdf.ID]float64{}
-			support := map[rdf.ID]int{}
-			weighted := map[rdf.ID]float64{}
-			literalW, resourceW := 0.0, 0.0
-			for ri, row := range rows {
-				a, b := tbl.Cell(row, i), tbl.Cell(row, j)
-				rels := map[rdf.ID]float64{}
-				for p, w := range relsBetween(a, b) {
-					rels[p] = w
-					resourceW += w
-				}
-				for p, w := range relsToLiteral(a, b) {
-					if w > rels[p] {
-						rels[p] = w
-						literalW += w
-					}
-				}
-				pc.CellRels[ri] = rels
-				idf := stats.RelIDF(len(rels))
-				for p, w := range rels {
-					tfidf[p] += w * stats.RelTF(p) * idf
-					support[p]++
-					weighted[p] += w
-				}
-			}
-			maxScore := 0.0
-			for p, v := range tfidf {
-				if weighted[p] >= minSupport && v > maxScore {
-					maxScore = v
-				}
-			}
-			if maxScore == 0 {
-				continue
-			}
-			pc.LiteralObject = literalW > resourceW
-			for p, v := range tfidf {
-				if weighted[p] < minSupport {
-					continue
-				}
-				pc.Rels = append(pc.Rels, ScoredRel{
-					Prop:       p,
-					TFIDF:      v / maxScore,
-					Support:    support[p],
-					Confidence: weighted[p] / float64(len(rows)),
-				})
-			}
-			sortRels(pc.Rels, stats)
-			if opts.MaxCandidates > 0 && len(pc.Rels) > opts.MaxCandidates {
-				pc.Rels = pc.Rels[:opts.MaxCandidates]
-			}
-			best := 0.0
-			for _, r := range pc.Rels {
-				if r.Confidence > best {
-					best = r.Confidence
-				}
-			}
-			if best < opts.MinEdgeConfidence {
-				continue
-			}
-			c.Pairs = append(c.Pairs, pc)
+			pc.Rels = append(pc.Rels, ScoredRel{
+				Prop:       p,
+				TFIDF:      v / maxScore,
+				Support:    support[p],
+				Confidence: weighted[p] / float64(len(rows)),
+			})
 		}
+		sortRels(pc.Rels, stats)
+		if opts.MaxCandidates > 0 && len(pc.Rels) > opts.MaxCandidates {
+			pc.Rels = pc.Rels[:opts.MaxCandidates]
+		}
+		best := 0.0
+		for _, r := range pc.Rels {
+			if r.Confidence > best {
+				best = r.Confidence
+			}
+		}
+		if best < opts.MinEdgeConfidence {
+			continue
+		}
+		c.Pairs = append(c.Pairs, pc)
 	}
 	return c
+}
+
+// relEvidence is one cell pair's relationships plus the weight found through
+// resource objects (Q¹_rels) and literal objects (Q²_rels).
+type relEvidence struct {
+	rels                map[rdf.ID]float64
+	literalW, resourceW float64
+}
+
+// evidence resolves cell values against the KB with per-value caches:
+// tables are redundant, the KB is not small. One evidence serves one range
+// of rows; the weighting is per-Options, so the weighted matches stay local
+// even when raw resolution goes through a shared opts.Resolver.
+type evidence struct {
+	kb        *rdf.Store
+	src       resolve.Source
+	opts      Options
+	tel       *telemetry.Pipeline
+	resCache  map[string][]weightedMatch
+	typeCache map[string]map[rdf.ID]float64
+	pairCache map[[2]string]map[rdf.ID]float64
+	litCache  map[[2]string]map[rdf.ID]float64
+}
+
+func newEvidence(stats *kbstats.Stats, opts Options, tel *telemetry.Pipeline) *evidence {
+	kb := stats.KB()
+	src := resolve.Source(kb)
+	if opts.Resolver != nil {
+		src = opts.Resolver
+	}
+	return &evidence{
+		kb: kb, src: src, opts: opts, tel: tel,
+		resCache:  map[string][]weightedMatch{},
+		typeCache: map[string]map[rdf.ID]float64{},
+		pairCache: map[[2]string]map[rdf.ID]float64{},
+		litCache:  map[[2]string]map[rdf.ID]float64{},
+	}
+}
+
+func (ev *evidence) resolve(val string) []weightedMatch {
+	if r, ok := ev.resCache[val]; ok {
+		return r
+	}
+	ev.tel.Inc(telemetry.KBLookups)
+	hits := ev.src.MatchLabel(val, ev.opts.Threshold)
+	var out []weightedMatch
+	if len(hits) > 0 {
+		best := hits[0].Score
+		for _, m := range hits {
+			if m.Score < best-ev.opts.Band {
+				break // hits are sorted by score
+			}
+			w := 1.0
+			for e := 0; e < ev.opts.MatchExponent; e++ {
+				w *= m.Score
+			}
+			out = append(out, weightedMatch{res: m.Resource, weight: w})
+		}
+	}
+	ev.resCache[val] = out
+	return out
+}
+
+// typesOf is the Q_types lookup: every type (with subClassOf* closure) of
+// the resources val resolves to, at the best match weight.
+func (ev *evidence) typesOf(val string) map[rdf.ID]float64 {
+	if t, ok := ev.typeCache[val]; ok {
+		return t
+	}
+	set := map[rdf.ID]float64{}
+	for _, m := range ev.resolve(val) {
+		for _, t := range ev.kb.AllTypes(m.res) {
+			if m.weight > set[t] {
+				set[t] = m.weight
+			}
+		}
+	}
+	ev.typeCache[val] = set
+	return set
+}
+
+// relsOf is the Q¹_rels/Q²_rels lookup for one ordered cell pair (a, b).
+func (ev *evidence) relsOf(a, b string) relEvidence {
+	e := relEvidence{rels: map[rdf.ID]float64{}}
+	for p, w := range ev.relsBetween(a, b) {
+		e.rels[p] = w
+		e.resourceW += w
+	}
+	for p, w := range ev.relsToLiteral(a, b) {
+		if w > e.rels[p] {
+			e.rels[p] = w
+			e.literalW += w
+		}
+	}
+	return e
+}
+
+func (ev *evidence) relsBetween(a, b string) map[rdf.ID]float64 {
+	key := [2]string{a, b}
+	if r, ok := ev.pairCache[key]; ok {
+		return r
+	}
+	set := map[rdf.ID]float64{}
+	for _, xi := range ev.resolve(a) {
+		for _, xj := range ev.resolve(b) {
+			w := xi.weight * xj.weight
+			for _, p := range ev.kb.PredicatesBetweenSub(xi.res, xj.res) {
+				if w > set[p] {
+					set[p] = w
+				}
+			}
+		}
+	}
+	ev.pairCache[key] = set
+	return set
+}
+
+func (ev *evidence) relsToLiteral(a, b string) map[rdf.ID]float64 {
+	key := [2]string{a, b}
+	if r, ok := ev.litCache[key]; ok {
+		return r
+	}
+	set := map[rdf.ID]float64{}
+	if lit := ev.kb.LookupTerm(rdf.Lit(b)); lit != rdf.NoID {
+		for _, xi := range ev.resolve(a) {
+			for _, p := range ev.kb.PredicatesBetweenSub(xi.res, lit) {
+				if xi.weight > set[p] {
+					set[p] = xi.weight
+				}
+			}
+		}
+	}
+	ev.litCache[key] = set
+	return set
 }
 
 // sortTypes orders candidates by tf-idf descending; ties go to the more

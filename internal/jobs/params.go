@@ -22,11 +22,15 @@ import (
 // misbehaving (a negative budget used to mean "unlimited", a fractional
 // worker count truncated, a negative deadline expired instantly).
 type Params struct {
-	// Workers sizes the worker pool for the parallel stages: 0 or 1 serial,
-	// -1 = GOMAXPROCS, anything below -1 invalid.
+	// Workers is the parallelism of the data-parallel stages
+	// (katara.Options.Workers): 0 or 1 serial, -1 = GOMAXPROCS, anything
+	// below -1 invalid.
 	Workers int `json:"workers,omitempty"`
-	// Shards is the row-range shard count for annotation coverage and
-	// repair retrieval: 0 or 1 unsharded, -1 = GOMAXPROCS.
+	// Shards is the former row-range shard count, still accepted (and
+	// validated like Workers) so older clients and journals keep working; it
+	// maps to katara.Options.Shards, which folds it into Workers.
+	//
+	// Deprecated: set Workers.
 	Shards int `json:"shards,omitempty"`
 	// RepairK caps possible repairs per erroneous tuple (0 = library
 	// default).

@@ -297,3 +297,49 @@ func grepLine(body, needle string) string {
 	}
 	return "(series missing)"
 }
+
+// TestHTTPLegacyShardsParam: a submission carrying only the deprecated
+// "shards" field still decodes and validates, out-of-range values are still
+// rejected, and the job's result is byte-identical to the same submission
+// with "workers" — the daemon folds the alias into the one parallelism knob.
+func TestHTTPLegacyShardsParam(t *testing.T) {
+	kb, dirty := fixture(t, 60)
+	m := NewManager(Config{KB: kb, MaxConcurrent: 2, MaxQueue: 8})
+	defer m.Close()
+	ts := httptest.NewServer(NewHandler(m))
+	defer ts.Close()
+
+	tbl, err := json.Marshal(tableDoc(dirty))
+	if err != nil {
+		t.Fatal(err)
+	}
+	submit := func(params string) (int, []byte) {
+		return do(t, ts, "POST", "/jobs", json.RawMessage(`{"table":`+string(tbl)+`,"params":`+params+`}`))
+	}
+	if code, body := submit(`{"shards": -3}`); code != http.StatusBadRequest || !strings.Contains(string(body), "shards") {
+		t.Fatalf("shards=-3 submit = %d %s, want 400 naming shards", code, body)
+	}
+	var reports [][]byte
+	for _, params := range []string{`{"shards": 2}`, `{"workers": 2}`} {
+		code, body := submit(params)
+		if code != http.StatusAccepted {
+			t.Fatalf("submit %s = %d %s", params, code, body)
+		}
+		var sub SubmitResponse
+		if err := json.Unmarshal(body, &sub); err != nil {
+			t.Fatal(err)
+		}
+		if st := waitJob(t, m, sub.ID); st.State != StateDone {
+			t.Fatalf("job %s (%s) = %s: %s", sub.ID, params, st.State, st.Error)
+		}
+		if params == `{"shards": 2}` {
+			if st, _ := m.Status(sub.ID); st.Params != (Params{Shards: 2}) {
+				t.Fatalf("legacy params decoded as %+v", st.Params)
+			}
+		}
+		reports = append(reports, reportBytes(t, m, sub.ID))
+	}
+	if !bytes.Equal(reports[0], reports[1]) {
+		t.Fatalf("shards=2 result differs from workers=2:\n%s\n%s", reports[0], reports[1])
+	}
+}

@@ -19,11 +19,11 @@ import (
 // cell must produce a byte-identical canonical Report (fault accounting and
 // timings excluded — see Canonical).
 type RunConfig struct {
-	// Workers is katara.Options.Workers: 1 serial, >1 pooled, -1 resolves
-	// to GOMAXPROCS.
+	// Workers is katara.Options.Workers: 1 serial, >1 fanned out over that
+	// many ranges, -1 resolves to GOMAXPROCS.
 	Workers int
-	// Shards is katara.Options.Shards: row-range shards for annotation
-	// coverage and repair retrieval (0 or 1 unsharded). The invariant
+	// Shards is the deprecated katara.Options.Shards alias, folded into
+	// Workers (0 or 1 unsharded). The invariant
 	// `sharded(T, N) ≡ unsharded(T)` — byte-identical canonical reports
 	// for every shard count — rides on the matrix comparison.
 	Shards int
@@ -309,16 +309,19 @@ func RunSeed(seed int64) (*SeedResult, error) {
 
 	// Provenance differential: recording the decision lineage must not
 	// perturb the pipeline — every recording cell matches the non-recording
-	// baseline byte-identically on Canonical — and the lineage journals of a
-	// serial and a sharded serial recording run must themselves be
-	// byte-identical (the shard-order Child/Merge is deterministic). Pooled
-	// workers race for crowd question IDs, so the workers=4 cell only
-	// carries the lint + replay contracts, not journal byte-equality. Each
-	// recording run's lineage must lint and replay: checkProvenance.
+	// baseline byte-identically on Canonical — and the lineage journals of
+	// the serial, sharded and 4-worker recording runs must themselves be
+	// byte-identical (crowd questions are asked serially, and the fan-out's
+	// range-order Child/Merge is deterministic). Only the fault-injected
+	// cell's journal differs, because the retries and abandonments it
+	// injects are part of the journal; it carries the lint + replay
+	// contracts alone. Each recording run's lineage must lint and replay:
+	// checkProvenance.
 	var wantJournal []byte
 	for _, cfg := range []RunConfig{
 		{Workers: 1, Provenance: true},
 		{Workers: 1, Shards: 4, Telemetry: true, Provenance: true},
+		{Workers: 4, Provenance: true},
 		{Workers: 4, Faults: true, Provenance: true},
 	} {
 		res.Configs++
@@ -336,7 +339,7 @@ func RunSeed(seed int64) (*SeedResult, error) {
 		if err != nil {
 			return res, fmt.Errorf("config %s: %w", cfg, err)
 		}
-		if cfg.Workers != 1 {
+		if cfg.Faults {
 			continue
 		}
 		if wantJournal == nil {

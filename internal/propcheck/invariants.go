@@ -334,7 +334,6 @@ func annotateWith(sc *Scenario, p *pattern.Pattern, kb *workload.KB, resolver pa
 		Crowd:    newOracleCrowd(),
 		Oracle:   workload.WorldOracle{W: sc.World, KB: kb},
 		Enrich:   true,
-		Workers:  1,
 		Resolver: resolver,
 	}
 	return ann.Annotate(sc.Dirty)

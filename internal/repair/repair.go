@@ -8,10 +8,10 @@ package repair
 import (
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
+	"katara/internal/fanout"
 	"katara/internal/pattern"
+	"katara/internal/provenance"
 	"katara/internal/rdf"
 	"katara/internal/similarity"
 	"katara/internal/telemetry"
@@ -50,10 +50,10 @@ type Options struct {
 	// also be weighted with confidences on data values"). Missing columns
 	// cost 1.
 	Weights map[int]float64
-	// Workers shards instance-graph enumeration across a worker pool by
-	// root resource; <= 1 enumerates serially. Shards merge in root order
-	// and truncate at MaxGraphs, so the index is identical for every
-	// worker count.
+	// Workers fans instance-graph enumeration out over at most this many
+	// contiguous ranges of root resources; <= 1 enumerates serially. Ranges
+	// merge in root order and truncate at MaxGraphs, so the index is
+	// identical for every worker count.
 	Workers int
 	// Telemetry receives the GraphsEnumerated / RepairsGenerated counters;
 	// nil disables instrumentation.
@@ -262,7 +262,13 @@ func (ix *Index) align(tuple []string, g *InstanceGraph) (Repair, int) {
 }
 
 // enumerate materialises the instance graphs of p, fanning the root
-// resources out over workers goroutines when workers > 1.
+// resources out over at most workers contiguous ranges. Each range expands
+// its roots depth-first in order and stops once it holds maxGraphs graphs;
+// the ranges' outputs concatenate in root order and truncate at maxGraphs.
+// A range's output is a prefix of its roots' uncapped expansion, so the
+// merged prefix is exactly the serial (one-range) output for any worker
+// count. The ranges only read the KB, so its lazily-memoised hierarchy
+// closures are forced up front.
 func enumerate(kb *rdf.Store, p *pattern.Pattern, maxGraphs, workers int) []InstanceGraph {
 	cols := p.Columns()
 	if len(cols) == 0 {
@@ -273,51 +279,24 @@ func enumerate(kb *rdf.Store, p *pattern.Pattern, maxGraphs, workers int) []Inst
 	// columns fall back to full instance scans.
 	order, via := traversalPlan(kb, p, cols)
 	roots := candidatesFor(kb, p, order[0], nil, nil)
-
-	if workers > 1 && len(roots) >= 2*workers {
-		return enumerateParallel(kb, p, order, via, roots, maxGraphs, workers)
+	if workers > 1 {
+		kb.WarmClosures()
 	}
-	var out []InstanceGraph
-	for _, root := range roots {
-		e := &enumerator{kb: kb, p: p, order: order, via: via, max: maxGraphs - len(out)}
-		if maxGraphs == 0 {
-			e.max = 0
-		}
-		out = append(out, e.fromRoot(root)...)
-		if maxGraphs > 0 && len(out) >= maxGraphs {
-			break
-		}
-	}
-	return out
-}
-
-// enumerateParallel shards enumeration by root resource: each worker claims
-// roots through an atomic cursor and runs the same depth-first expansion as
-// the serial path, capped per root at maxGraphs. Per-root results merge in
-// root order and truncate at maxGraphs — since a per-root cap of maxGraphs
-// can only over-produce relative to the serial cursor, the merged prefix is
-// exactly the serial output for any worker count. The workers only read the
-// KB, so its lazily-memoised hierarchy closures are forced up front.
-func enumerateParallel(kb *rdf.Store, p *pattern.Pattern, order []int, via map[int]*edgeRef, roots []rdf.ID, maxGraphs, workers int) []InstanceGraph {
-	kb.WarmClosures()
 	perRoot := make([][]InstanceGraph, len(roots))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(roots) {
-					return
-				}
-				e := &enumerator{kb: kb, p: p, order: order, via: via, max: maxGraphs}
-				perRoot[i] = e.fromRoot(roots[i])
+	fanout.Run(len(roots), workers, nil, nil, func(r fanout.Range, _ *telemetry.Pipeline, _ *provenance.Recorder) {
+		n := 0
+		for i := r.Lo; i < r.Hi; i++ {
+			e := &enumerator{kb: kb, p: p, order: order, via: via}
+			if maxGraphs > 0 {
+				e.max = maxGraphs - n
 			}
-		}()
-	}
-	wg.Wait()
+			perRoot[i] = e.fromRoot(roots[i])
+			n += len(perRoot[i])
+			if maxGraphs > 0 && n >= maxGraphs {
+				break
+			}
+		}
+	})
 	var out []InstanceGraph
 	for _, gs := range perRoot {
 		out = append(out, gs...)

@@ -283,12 +283,12 @@ func (p *Pipeline) CurrentStage() string {
 }
 
 // Merge folds o's counters, stage accumulators and histograms into p — the
-// shard-combining operation: each row-range shard of a sharded run records
-// into its own Pipeline, and the orchestrator merges them into the run's
-// pipeline once the fan-out joins. Span/journal state is not merged (shard
-// pipelines carry no journal). Safe when either side is nil or when o is
-// still being written by other goroutines (all state is atomic), though the
-// orchestrator merges only after its shards join.
+// range-combining operation: each range of a fan-out (internal/fanout)
+// records into its own Pipeline, and the executor merges them into the
+// run's pipeline once the fan-out joins. Span/journal state is not merged
+// (range pipelines carry no journal). Safe when either side is nil or when
+// o is still being written by other goroutines (all state is atomic),
+// though the executor merges only after its ranges join.
 func (p *Pipeline) Merge(o *Pipeline) {
 	if p == nil || o == nil {
 		return

@@ -213,17 +213,19 @@ type Options struct {
 	// "the cost can also be weighted with confidences on data values").
 	// Missing columns cost 1; default nil = unit costs everywhere.
 	RepairWeights map[int]float64
-	// Workers fans the embarrassingly parallel stages (candidate
-	// generation, per-tuple KB coverage, instance-graph enumeration,
-	// per-row top-k retrieval) out over this many goroutines. 0 or 1 runs
-	// serially; negative uses GOMAXPROCS. Results are identical for every
-	// value — crowd interaction always stays serial in row order.
+	// Workers is the one parallelism knob: the data-parallel stages
+	// (candidate generation, KB coverage, instance-graph enumeration, top-k
+	// repair retrieval) split their work units into at most this many
+	// contiguous ranges, each on its own goroutine with its own telemetry
+	// pipeline, merged in range order after the join. 0 or 1 runs serially;
+	// negative uses GOMAXPROCS. Reports are byte-identical for every value —
+	// crowd interaction always stays serial in row order (the propcheck
+	// `sharded ≡ unsharded` invariant).
 	Workers int
-	// Shards splits annotation coverage and repair retrieval into this many
-	// contiguous row-range shards, each with its own telemetry pipeline
-	// merged after the fan-out joins (see CleanShardedContext). 0 or 1 runs
-	// unsharded; negative uses GOMAXPROCS. Reports are byte-identical for
-	// every shard count — the propcheck `sharded ≡ unsharded` invariant.
+	// Shards is the former row-range shard count, folded into Workers:
+	// a run uses max(Workers, Shards), each resolved like Workers.
+	//
+	// Deprecated: set Workers.
 	Shards int
 	// Telemetry enables per-run instrumentation: Report.Timings carries
 	// stage wall-clocks and pipeline counters (default off; disabled
@@ -322,13 +324,17 @@ func (o Options) withDefaults() Options {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	if o.Workers < 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.Shards < 0 {
-		o.Shards = runtime.GOMAXPROCS(0)
-	}
+	o.Workers = max(resolveWorkers(o.Workers), resolveWorkers(o.Shards))
 	return o
+}
+
+// resolveWorkers normalizes a parallelism count: negative means GOMAXPROCS,
+// 0 means serial (1).
+func resolveWorkers(n int) int {
+	if n < 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return max(n, 1)
 }
 
 // trustingFacts is the nil-FactOracle policy: every missing fact is assumed
@@ -403,18 +409,19 @@ func (c *Cleaner) candidates(t *Table) *discovery.Candidates {
 }
 
 func (c *Cleaner) generate(t *Table, tel *telemetry.Pipeline) *discovery.Candidates {
-	dopts := discovery.Options{
+	return discovery.GenerateParallel(t, c.stats, c.discoveryOptions(c.resolver, tel), c.opts.Workers)
+}
+
+// discoveryOptions maps the cleaner's options onto candidate generation.
+func (c *Cleaner) discoveryOptions(res *resolve.Cache, tel *telemetry.Pipeline) discovery.Options {
+	return discovery.Options{
 		Threshold:     c.opts.Threshold,
 		MaxCandidates: c.opts.MaxCandidates,
 		MaxRows:       c.opts.MaxRows,
 		MinSupport:    c.opts.MinSupport,
 		Telemetry:     tel,
-		Resolver:      c.resolver,
+		Resolver:      res,
 	}
-	if c.opts.Workers > 1 {
-		return discovery.GenerateParallel(t, c.stats, dopts, c.opts.Workers)
-	}
-	return discovery.Generate(t, c.stats, dopts)
 }
 
 // ValidatePattern selects one pattern from candidates via the crowd (§5).
@@ -456,16 +463,11 @@ func (c *Cleaner) validatePattern(ctx context.Context, t *Table, candidates []*P
 
 // Annotate labels every tuple of t against pattern p (§6.1).
 func (c *Cleaner) Annotate(t *Table, p *Pattern) *annotation.Result {
-	return c.annotate(context.Background(), t, p, nil)
+	ann := c.annotator(context.Background(), p, nil)
+	return c.annotateRows(ann, t, make([]*pattern.Match, t.NumRows()), 0)
 }
 
-func (c *Cleaner) annotate(ctx context.Context, t *Table, p *Pattern, tel *telemetry.Pipeline) *annotation.Result {
-	return c.annotator(ctx, p, tel).Annotate(t)
-}
-
-// annotator assembles the §6.1 annotator for one run; shared by the
-// unsharded path (Annotate) and the shard orchestrator (EvaluateCoverage +
-// AnnotateWith).
+// annotator assembles the §6.1 annotator for one run.
 func (c *Cleaner) annotator(ctx context.Context, p *Pattern, tel *telemetry.Pipeline) *annotation.Annotator {
 	oracle := c.opts.FactOracle
 	if oracle == nil {
@@ -480,7 +482,6 @@ func (c *Cleaner) annotator(ctx context.Context, p *Pattern, tel *telemetry.Pipe
 		Degrade:   c.opts.Degrade,
 		Threshold: c.opts.Threshold,
 		Enrich:    *c.opts.Enrich,
-		Workers:   c.opts.Workers,
 		Telemetry: tel,
 		Resolver:  c.resolver,
 		Prov:      c.opts.Provenance,
@@ -489,11 +490,7 @@ func (c *Cleaner) annotator(ctx context.Context, p *Pattern, tel *telemetry.Pipe
 
 // Repairs generates top-k possible repairs for the given rows of t (§6.2).
 func (c *Cleaner) Repairs(t *Table, p *Pattern, rows []int) map[int][]Repair {
-	return c.repairs(t, p, rows, nil)
-}
-
-func (c *Cleaner) repairs(t *Table, p *Pattern, rows []int, tel *telemetry.Pipeline) map[int][]Repair {
-	return c.repairsSharded(t, p, rows, tel, 1)
+	return c.repairs(t, p, rows, nil, nil, nil)
 }
 
 // Report is the outcome of an end-to-end Clean run.
@@ -555,10 +552,9 @@ func (c *Cleaner) Clean(t *Table) (*Report, error) {
 // graceful-degradation policies take over (top-scored pattern, trust-KB or
 // mark-unknown annotation, skipped repairs) and Report.Degraded records
 // exactly which decisions degraded. Execution fans out across
-// Options.Shards row-range shards (see CleanShardedContext); the report is
-// identical for every shard count.
+// Options.Workers ranges; the report is identical for every worker count.
 func (c *Cleaner) CleanContext(ctx context.Context, t *Table) (*Report, error) {
-	return c.runClean(ctx, t, c.opts.Shards)
+	return c.runClean(ctx, t)
 }
 
 // BestKB picks, among several KBs, the one whose top discovered pattern

@@ -81,6 +81,8 @@ func TestCachedAnnotationIdenticalToUncached(t *testing.T) {
 	}
 	p := ps[0]
 
+	// Annotation runs through the cleaner's annotate stage, whose coverage
+	// fan-out is sized by Options.Workers.
 	run := func(kbRun *KB, resolver pattern.LabelSource, workers int) *annotation.Result {
 		ann := &annotation.Annotator{
 			KB:       kbRun,
@@ -88,10 +90,10 @@ func TestCachedAnnotationIdenticalToUncached(t *testing.T) {
 			Crowd:    TrustingCrowd(),
 			Oracle:   nil,
 			Enrich:   true,
-			Workers:  workers,
 			Resolver: resolver,
 		}
-		return ann.Annotate(dirty)
+		c := &Cleaner{kb: kbRun, opts: Options{Workers: workers}}
+		return c.annotateRows(ann, dirty, make([]*pattern.Match, dirty.NumRows()), 0)
 	}
 
 	base := run(kbA, nil, 1)

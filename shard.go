@@ -1,39 +1,38 @@
-// Row-range sharded execution: the job/shard orchestration extracted from
-// CleanContext so one machine can clean the paper's full-scale tables (§2
-// clamped Person to 5K rows because 316K "needed a 30-machine cluster").
+// One executor for every mode. KATARA's scale-out is one data-parallel idea
+// (the paper spreads the 316K Person tuples over 30 machines, §7.1), and
+// every stage that can fan out does so through the single guarded helper in
+// internal/fanout, sized by Options.Workers:
 //
-// The split follows the stages' data dependencies:
-//
-//   - pattern discovery runs ONCE over the table (its own MaxRows cap is the
-//     sample the paper describes) — sharding never changes the pattern;
+//   - pattern discovery fans the sampled rows' KB lookups out, then scores
+//     once — sharding never changes the pattern;
 //   - pattern validation runs ONCE — it is crowd-serial by construction;
 //   - annotation's step-1 KB coverage (§6.1) is a pure function of the
-//     read-only KB and one tuple, so it fans out across N contiguous
-//     row-range shards; step 2 (crowd consultation + enrichment) stays
-//     serial in global row order, fed the precomputed coverage;
-//   - repair index construction runs ONCE (deterministic), then per-row
-//     top-k retrieval fans out across row-range shards of the erroneous
-//     rows; the result map is keyed by row, so the merge is order-free.
+//     read-only KB and one decision unit, so the units the coverage memo
+//     lacks fan out across contiguous ranges; step 2 (crowd consultation and
+//     enrichment) stays serial in global row order, reading the memo;
+//   - the repair index is built once (instance-graph enumeration fans out by
+//     root resource), then per-unit top-k retrieval fans out across ranges of
+//     the distinct erroneous units.
 //
-// Each shard records into its own telemetry.Pipeline; the orchestrator
-// merges them into the run's pipeline (counters, stage timers and the
-// mergeable latency histograms) after the fan-out joins. Because everything
-// the crowd, the budget accounting and KB enrichment can observe happens in
-// the same serial order for every shard count, reports are byte-identical
-// across shard counts — the propcheck `sharded ≡ unsharded` invariant
+// The same stages serve every mode: a serial run is one range, dedup-off is
+// identity grouping (every row its own decision unit instead of its
+// signature group), and an append is the row range [lo, n) of the session's
+// table. Each range records into its own telemetry pipeline and provenance
+// recorder, merged in range order after the join. Because everything the
+// crowd, the budget accounting and KB enrichment can observe happens in the
+// same serial order for every worker count, reports are byte-identical
+// across worker counts — the propcheck `sharded ≡ unsharded` invariant
 // (DESIGN.md §13).
 package katara
 
 import (
 	"context"
 	"fmt"
-	"runtime/debug"
-	"sync"
-	"sync/atomic"
 
 	"katara/internal/annotation"
 	"katara/internal/crowd"
 	"katara/internal/discovery"
+	"katara/internal/fanout"
 	"katara/internal/pattern"
 	"katara/internal/provenance"
 	"katara/internal/repair"
@@ -41,94 +40,73 @@ import (
 	"katara/internal/telemetry"
 )
 
-// PanicError is a panic recovered from a shard goroutine, carrying the
-// original goroutine's stack. The orchestrator re-raises it on the calling
-// goroutine after the fan-out barrier joins — so a panic in one shard never
+// PanicError is a panic recovered from a fan-out range, carrying the
+// original goroutine's stack. The executor re-raises it on the calling
+// goroutine after every range has joined — so a panic in one range never
 // leaks a goroutine or deadlocks the merge, and callers that isolate panics
 // (the job server) can preserve the true origin stack instead of the
 // re-raise site's.
-type PanicError struct {
-	Value any
-	Stack string
-}
+type PanicError = fanout.PanicError
 
-func (e *PanicError) Error() string {
-	return fmt.Sprintf("panic in shard worker: %v", e.Value)
-}
-
-// ShardPanicHook is a test seam: when non-nil it runs at the top of every
-// shard goroutine with the shard index, letting tests inject a panic inside
-// a real shard worker. Exported because the job-server tests live in a
+// ShardPanicHook is a test seam: when non-nil it runs at the start of every
+// fan-out range's work with the range index, letting tests inject a panic
+// inside a real worker. Exported because the job-server tests live in a
 // package that cannot be imported from here; never set outside tests.
 var ShardPanicHook func(shard int)
 
-// runShardGuarded runs one shard's work with panic capture: the first
-// panicking shard parks a *PanicError in first, the rest are dropped, and
-// the goroutine returns normally so the WaitGroup barrier always joins.
-func runShardGuarded(first *atomic.Pointer[PanicError], shard int, f func()) {
-	defer func() {
-		if r := recover(); r != nil {
-			first.CompareAndSwap(nil, &PanicError{Value: r, Stack: string(debug.Stack())})
+func init() {
+	fanout.Hook = func(shard int) {
+		if h := ShardPanicHook; h != nil {
+			h(shard)
 		}
-	}()
-	if h := ShardPanicHook; h != nil {
-		h(shard)
-	}
-	f()
-}
-
-// rethrow re-raises a captured shard panic on the caller, after the barrier.
-func rethrow(first *atomic.Pointer[PanicError]) {
-	if pe := first.Load(); pe != nil {
-		panic(pe)
 	}
 }
 
-// CleanSharded is Clean with annotation coverage and repair retrieval fanned
-// out across shards row-range shards (0 or 1 = unsharded, negative =
-// GOMAXPROCS). The report is byte-identical to Clean's for every shard
-// count.
-func (c *Cleaner) CleanSharded(t *Table, shards int) (*Report, error) {
-	return c.CleanShardedContext(context.Background(), t, shards)
+// unitOf is row's decision unit: its signature group under dedup (in
+// non-nil), the row itself otherwise.
+func unitOf(in *table.Interned, row int) int {
+	if in != nil {
+		return in.GroupOf(row)
+	}
+	return row
 }
 
-// CleanShardedContext is CleanContext with an explicit shard count,
-// overriding Options.Shards for this run.
-func (c *Cleaner) CleanShardedContext(ctx context.Context, t *Table, shards int) (*Report, error) {
-	return c.runClean(ctx, t, shards)
+// numUnits is the number of decision units of t.
+func numUnits(t *Table, in *table.Interned) int {
+	if in != nil {
+		return in.NumGroups()
+	}
+	return t.NumRows()
 }
 
-// runClean is the pipeline orchestrator: telemetry/budget/deadline setup,
-// discover → validate → annotate → repair with the annotate/repair stages
-// sharded across row ranges, and the end-of-run accounting.
-func (c *Cleaner) runClean(ctx context.Context, t *Table, shards int) (*Report, error) {
-	if t == nil || t.NumRows() == 0 {
-		return nil, fmt.Errorf("katara: empty table")
-	}
-	shards = resolveShards(shards)
-	if c.opts.Incremental {
-		// Snapshot the pristine KB and open a fresh session before the
-		// pipeline can enrich anything; captureSession below records the
-		// outcome Append/ApplyKBDelta extend.
-		c.beginIncremental(t, shards)
-	}
-	var tel *telemetry.Pipeline
+// pipeline picks the run's instrumentation: the caller-owned pipeline, a
+// traced one, a plain one, or nil (disabled).
+func (c *Cleaner) pipeline() *telemetry.Pipeline {
 	switch {
 	case c.opts.Pipeline != nil:
-		tel = c.opts.Pipeline
+		return c.opts.Pipeline
 	case c.opts.Tracer != nil:
-		tel = telemetry.NewTraced(c.opts.Tracer)
+		return telemetry.NewTraced(c.opts.Tracer)
 	case c.opts.Telemetry:
-		tel = telemetry.New()
+		return telemetry.New()
 	}
+	return nil
+}
+
+// run is the scaffold every pass over a table shares — a batch clean, an
+// append's delta pass and a targeted KB-delta re-rank: it attaches the run's
+// telemetry pipeline and the provenance recorder to the crowd and the
+// resolver, applies the deadline and the crowd budget, opens the root span
+// (name) and installs the row→decision-unit mapping, runs body, then closes
+// the accounting: the resolver's hit/miss deltas and Report.Timings.
+func (c *Cleaner) run(ctx context.Context, name string, t *Table, in *table.Interned, rows int,
+	body func(ctx context.Context, tel *telemetry.Pipeline, root *telemetry.Span) (*Report, error)) (*Report, error) {
+	tel := c.pipeline()
 	c.crowd.SetTelemetry(tel)
 	defer c.crowd.SetTelemetry(nil)
 	c.resolver.SetTelemetry(tel)
 	defer c.resolver.SetTelemetry(nil)
-	// Evidence lineage (Options.Provenance): the recorder is reset per run
-	// and attached to the crowd so every question's votes are captured.
 	rec := c.opts.Provenance
-	rec.Reset()
 	c.crowd.SetProvenance(rec)
 	defer c.crowd.SetProvenance(nil)
 	if c.opts.Deadline > 0 {
@@ -147,11 +125,45 @@ func (c *Cleaner) runClean(ctx context.Context, t *Table, shards int) (*Report, 
 
 	// Root span of the run: the stage spans (and through them every leaf
 	// span) nest under it, so the journal reconstructs into one rooted tree.
-	root := tel.PushSpan("clean")
+	root := tel.PushSpan(name)
 	root.SetStr("table", t.Name)
-	root.SetInt("rows", int64(t.NumRows()))
-	root.SetInt("shards", int64(shards))
+	root.SetInt("rows", int64(rows))
+	root.SetInt("workers", int64(c.opts.Workers))
+	if in != nil {
+		root.SetInt("signatures", int64(in.NumGroups()))
+	}
+	if rec.Enabled() {
+		units := make([]int, t.NumRows())
+		for i := range units {
+			units[i] = unitOf(in, i)
+		}
+		rec.SetRowUnits(units, in != nil)
+	}
 
+	rep, err := body(ctx, tel, &root)
+
+	hits1, misses1 := c.resolver.Stats()
+	tel.Add(telemetry.ResolverHits, hits1-hits0)
+	tel.Add(telemetry.ResolverMisses, misses1-misses0)
+	root.End()
+	if rep != nil {
+		rep.Timings = tel.Snapshot()
+	}
+	return rep, err
+}
+
+// runClean is the batch pipeline: discover → validate → annotate → repair
+// over every row of t, inside the shared run scaffold.
+func (c *Cleaner) runClean(ctx context.Context, t *Table) (*Report, error) {
+	if t == nil || t.NumRows() == 0 {
+		return nil, fmt.Errorf("katara: empty table")
+	}
+	if c.opts.Incremental {
+		// Snapshot the pristine KB and open a fresh session before the
+		// pipeline can enrich anything; captureSession below records the
+		// outcome Append/ApplyKBDelta extend.
+		c.beginIncremental(t)
+	}
 	// Distinct-signature view (Options.Dedup, default on): built fresh per
 	// run — never cached on the Table, whose Rows callers mutate directly
 	// (InjectErrors) with no invalidation hook. Annotation coverage, crowd
@@ -159,233 +171,107 @@ func (c *Cleaner) runClean(ctx context.Context, t *Table, shards int) (*Report, 
 	var in *table.Interned
 	if *c.opts.Dedup {
 		in = t.Interned()
-		root.SetInt("signatures", int64(in.NumGroups()))
 	}
-	if rec.Enabled() {
-		// Decision units: signature groups under dedup, rows otherwise.
-		units := make([]int, t.NumRows())
-		for i := range units {
-			if in != nil {
-				units[i] = in.GroupOf(i)
-			} else {
-				units[i] = i
+	// Evidence lineage (Options.Provenance) is reset per batch run.
+	rec := c.opts.Provenance
+	rec.Reset()
+	return c.run(ctx, "clean", t, in, t.NumRows(), func(ctx context.Context, tel *telemetry.Pipeline, root *telemetry.Span) (*Report, error) {
+		start := tel.StartStage(telemetry.StageDiscover)
+		cands := c.generate(t, tel)
+		candidates := discovery.TopK(cands, c.opts.TopK)
+		tel.EndStage(telemetry.StageDiscover, start)
+		if len(candidates) == 0 {
+			return nil, ErrNoPattern
+		}
+		if rec.Enabled() {
+			for _, cand := range candidates {
+				rec.RecordPattern(cand.Key(), cand.Score, false)
 			}
 		}
-		rec.SetRowUnits(units, in != nil)
-	}
-
-	start := tel.StartStage(telemetry.StageDiscover)
-	cands := c.generate(t, tel)
-	candidates := discovery.TopK(cands, c.opts.TopK)
-	tel.EndStage(telemetry.StageDiscover, start)
-	if len(candidates) == 0 {
-		root.End()
-		return nil, ErrNoPattern
-	}
-	if rec.Enabled() {
-		for _, cand := range candidates {
-			rec.RecordPattern(cand.Key(), cand.Score, false)
+		c.crowd.ResetStats()
+		rep := &Report{}
+		start = tel.StartStage(telemetry.StageValidate)
+		p, _, degraded := c.validatePattern(ctx, t, candidates)
+		if degraded {
+			rep.Degraded.PatternFallback = true
+			tel.Inc(telemetry.DegradedDecisions)
 		}
-	}
-	c.crowd.ResetStats()
-	rep := &Report{}
-	start = tel.StartStage(telemetry.StageValidate)
-	p, _, degraded := c.validatePattern(ctx, t, candidates)
-	if degraded {
-		rep.Degraded.PatternFallback = true
-		tel.Inc(telemetry.DegradedDecisions)
-	}
-	if c.opts.DiscoverPaths {
-		p = p.Clone()
-		discovery.AttachPathEdges(p, discovery.DiscoverPathEdges(cands))
-	}
-	if rec.Enabled() && p != nil {
-		// The validated (possibly stripped or path-extended) winner.
-		rec.RecordPattern(p.Key(), p.Score, true)
-	}
-	tel.EndStage(telemetry.StageValidate, start)
-	start = tel.StartStage(telemetry.StageAnnotate)
-	res := c.annotateSharded(ctx, t, p, tel, shards, in)
-	tel.EndStage(telemetry.StageAnnotate, start)
-	rep.Pattern = p
-	rep.Annotations = res.Tuples
-	rep.NewFacts = res.NewFacts
-	rep.Degraded.Tuples = res.DegradedTuples
-	if ctx.Err() != nil {
-		// Deadline spent before repair: degrade rather than blow through it.
-		rep.Degraded.RepairsSkipped = true
-		tel.Inc(telemetry.DegradedDecisions)
-	} else {
-		start = tel.StartStage(telemetry.StageRepair)
-		rep.Repairs = c.repairsShardedProv(t, p, res.Errors(), tel, shards, in, rec)
-		tel.EndStage(telemetry.StageRepair, start)
-	}
-	rep.Crowd = c.crowd.Stats()
-	rep.QuestionsAsked = rep.Crowd.Questions
-	hits1, misses1 := c.resolver.Stats()
-	tel.Add(telemetry.ResolverHits, hits1-hits0)
-	tel.Add(telemetry.ResolverMisses, misses1-misses0)
-	root.SetInt("questions", int64(rep.QuestionsAsked))
-	root.End()
-	rep.Timings = tel.Snapshot()
-	rep.Provenance = rec
-	if c.opts.Incremental && c.session != nil {
-		c.captureSession(t, rep, in)
-	}
-	return rep, nil
-}
-
-// resolveShards normalizes a shard count: 0 and 1 mean unsharded, negative
-// means GOMAXPROCS (via Options.withDefaults' convention).
-func resolveShards(shards int) int {
-	if shards < 0 {
-		shards = Options{Shards: shards}.withDefaults().Shards
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	return shards
-}
-
-// shardRange is one contiguous row range [Lo, Hi).
-type shardRange struct{ Lo, Hi int }
-
-// shardRanges splits n rows into at most shards contiguous ranges of
-// near-equal size (the first n%shards ranges take one extra row). Empty
-// ranges are never produced.
-func shardRanges(n, shards int) []shardRange {
-	if shards > n {
-		shards = n
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	out := make([]shardRange, 0, shards)
-	base, extra := n/shards, n%shards
-	lo := 0
-	for i := 0; i < shards; i++ {
-		size := base
-		if i < extra {
-			size++
+		if c.opts.DiscoverPaths {
+			p = p.Clone()
+			discovery.AttachPathEdges(p, discovery.DiscoverPathEdges(cands))
 		}
-		if size == 0 {
-			continue
+		if rec.Enabled() && p != nil {
+			// The validated (possibly stripped or path-extended) winner.
+			rec.RecordPattern(p.Key(), p.Score, true)
 		}
-		out = append(out, shardRange{Lo: lo, Hi: lo + size})
-		lo += size
-	}
-	return out
+		tel.EndStage(telemetry.StageValidate, start)
+		start = tel.StartStage(telemetry.StageAnnotate)
+		ann := c.annotator(ctx, p, tel)
+		ann.Interned = in
+		if c.opts.Incremental && c.session != nil {
+			// Carry the memo state (questions, seen facts) on the session so
+			// a later Append's delta pass continues where this run left off.
+			ann.Session = c.session.ann
+		}
+		cover := make([]*pattern.Match, numUnits(t, in))
+		res := c.annotateRows(ann, t, cover, 0)
+		tel.EndStage(telemetry.StageAnnotate, start)
+		rep.Pattern = p
+		rep.Annotations = res.Tuples
+		rep.NewFacts = res.NewFacts
+		rep.Degraded.Tuples = res.DegradedTuples
+		if ctx.Err() != nil {
+			// Deadline spent before repair: degrade rather than blow through it.
+			rep.Degraded.RepairsSkipped = true
+			tel.Inc(telemetry.DegradedDecisions)
+		} else {
+			start = tel.StartStage(telemetry.StageRepair)
+			rep.Repairs = c.repairs(t, p, res.Errors(), tel, in, rec)
+			tel.EndStage(telemetry.StageRepair, start)
+		}
+		rep.Crowd = c.crowd.Stats()
+		rep.QuestionsAsked = rep.Crowd.Questions
+		root.SetInt("questions", int64(rep.QuestionsAsked))
+		rep.Provenance = rec
+		if c.opts.Incremental && c.session != nil {
+			c.captureSession(t, rep, in, cover)
+		}
+		return rep, nil
+	})
 }
 
-// shardPipelines returns one child pipeline per range when the run is
-// instrumented, or all-nil children when it is not (nil *Pipeline is the
-// disabled instrument).
-func shardPipelines(tel *telemetry.Pipeline, n int) []*telemetry.Pipeline {
-	children := make([]*telemetry.Pipeline, n)
-	if tel == nil {
-		return children
-	}
-	for i := range children {
-		children[i] = telemetry.New()
-	}
-	return children
-}
-
-// annotateSharded is the sharded §6.1 stage: step-1 KB coverage fans out
-// across contiguous shards (each with its own telemetry pipeline, merged
-// after the join), then the crowd-serial step 2 consumes the precomputed
-// coverage in global row order. With an interned view the shard unit is the
-// distinct signature group — each group's representative is evaluated once
-// and the Match fanned out to every duplicate row — otherwise it is the raw
-// row range. For shards <= 1 it falls back to the unsharded annotator
-// (whose Workers pool remains available, itself group-aware under dedup).
-func (c *Cleaner) annotateSharded(ctx context.Context, t *Table, p *Pattern, tel *telemetry.Pipeline, shards int, in *table.Interned) *annotation.Result {
-	ann := c.annotator(ctx, p, tel)
-	ann.Interned = in
-	if c.opts.Incremental && c.session != nil {
-		// Carry the memo state (questions, coverage, seen facts) on the
-		// session so a later Append's delta pass continues where this run
-		// left off.
-		ann.Session = c.session.ann
-	}
+// annotateRows is the §6.1 stage over rows [lo, n) of t. cover is the
+// unit-indexed coverage memo (decision units are ann.Interned's signature
+// groups under dedup, rows otherwise). With more than one worker, the
+// coverage of every unit of the range that cover lacks fans out across
+// ranges first; step 2 (crowd consultation and enrichment) then runs
+// serially in row order over the memo. A single worker skips the up-front
+// pass: the serial step evaluates each unit lazily, which saves the
+// evaluations an enrichment would invalidate.
+func (c *Cleaner) annotateRows(ann *annotation.Annotator, t *Table, cover []*pattern.Match, lo int) *annotation.Result {
 	n := t.NumRows()
-	units := n
-	if in != nil {
-		units = in.NumGroups()
-	}
-	if shards <= 1 || units < 2*shards {
-		return ann.Annotate(t)
-	}
-	// Coverage workers only read the KB: force the lazily-memoised
-	// hierarchy closures before the fan-out.
-	c.kb.WarmClosures()
-	matches := make([]*pattern.Match, n)
-	ranges := shardRanges(units, shards)
-	children := shardPipelines(tel, len(ranges))
-	var wg sync.WaitGroup
-	var panicked atomic.Pointer[PanicError]
-	for i, rg := range ranges {
-		wg.Add(1)
-		go func(shard int, rg shardRange, child *telemetry.Pipeline) {
-			defer wg.Done()
-			runShardGuarded(&panicked, shard, func() {
-				if in != nil {
-					ann.EvaluateCoverageGroups(t, in.Groups(), rg.Lo, rg.Hi, matches, child)
-				} else {
-					ann.EvaluateCoverage(t, rg.Lo, rg.Hi, matches, child)
-				}
-			})
-		}(i, rg, children[i])
-	}
-	wg.Wait()
-	rethrow(&panicked)
-	for _, child := range children {
-		tel.Merge(child)
-	}
-	return ann.AnnotateWith(t, matches)
-}
-
-// repairsSharded is repairsShardedDedup without an interned view — the
-// public Repairs sub-API path, which takes caller-chosen row lists and
-// never dedups.
-func (c *Cleaner) repairsSharded(t *Table, p *Pattern, rows []int, tel *telemetry.Pipeline, shards int) map[int][]Repair {
-	return c.repairsShardedProv(t, p, rows, tel, shards, nil, nil)
-}
-
-// repairsShardedDedup is repairsShardedProv without provenance recording —
-// kept as the dedup-aware entry point for tests.
-func (c *Cleaner) repairsShardedDedup(t *Table, p *Pattern, rows []int, tel *telemetry.Pipeline, shards int, in *table.Interned) map[int][]Repair {
-	return c.repairsShardedProv(t, p, rows, tel, shards, in, nil)
-}
-
-// repairCandidates converts a ranked repair list to its provenance record —
-// shared by the batch retrieval paths below and the incremental
-// sessionRepairs path.
-func repairCandidates(reps []Repair) []provenance.Candidate {
-	cands := make([]provenance.Candidate, len(reps))
-	for j, r := range reps {
-		ch := make([]provenance.Change, len(r.Changes))
-		for k, cg := range r.Changes {
-			ch[k] = provenance.Change{Col: cg.Col, From: cg.From, To: cg.To}
+	if c.opts.Workers > 1 {
+		var todo []int
+		queued := make([]bool, len(cover))
+		for row := lo; row < n; row++ {
+			if u := unitOf(ann.Interned, row); cover[u] == nil && !queued[u] {
+				queued[u] = true
+				todo = append(todo, u)
+			}
 		}
-		cands[j] = provenance.Candidate{Graph: r.Graph.ID, Cost: r.Cost, Changes: ch}
+		// Coverage ranges only read the KB: force the lazily-memoised
+		// hierarchy closures before the fan-out.
+		c.kb.WarmClosures()
+		fanout.Run(len(todo), c.opts.Workers, ann.Telemetry, nil, func(r fanout.Range, tel *telemetry.Pipeline, _ *provenance.Recorder) {
+			ann.EvaluateCoverage(t, todo[r.Lo:r.Hi], cover, tel)
+		})
 	}
-	return cands
+	return ann.AnnotateRange(t, cover, lo, n)
 }
 
-// repairsShardedProv is the sharded §6.2 stage: the index is built once
-// (deterministic for every worker and shard count), then top-k retrieval
-// fans out across shards of the erroneous-row list, each shard recording
-// into its own telemetry pipeline through a shallow index view. With an
-// interned view, duplicate erroneous rows collapse onto one representative
-// per distinct signature — TopK is a pure function of the tuple's values
-// and the read-only index, so the ranked list is computed once and shared
-// by every duplicate. The merge is a map fill keyed by row — order-free.
-// With a provenance recorder, every ranked unit's candidate list is
-// captured: sharded retrieval records into per-shard child recorders merged
-// back in shard order (units are disjoint across shards, so the merged
-// state is deterministic regardless of completion order).
-func (c *Cleaner) repairsShardedProv(t *Table, p *Pattern, rows []int, tel *telemetry.Pipeline, shards int, in *table.Interned, rec *provenance.Recorder) map[int][]Repair {
+// repairs is the batch §6.2 stage: the index is built once (deterministic
+// for every worker count), then rows are ranked against it.
+func (c *Cleaner) repairs(t *Table, p *Pattern, rows []int, tel *telemetry.Pipeline, in *table.Interned, rec *provenance.Recorder) map[int][]Repair {
 	if len(p.Edges) == 0 {
 		return nil // no relationships: repairs are undefined (§7.4)
 	}
@@ -396,6 +282,12 @@ func (c *Cleaner) repairsShardedProv(t *Table, p *Pattern, rows []int, tel *tele
 		// the rest of the pipeline.
 		return out
 	}
+	c.rankRepairs(c.buildIndex(p, tel), t, rows, in, tel, rec, out)
+	return out
+}
+
+// buildIndex builds the §6.2 repair index against the live KB.
+func (c *Cleaner) buildIndex(p *Pattern, tel *telemetry.Pipeline) *repair.Index {
 	start := tel.StartStage(telemetry.StageBuildIndex)
 	ix := repair.BuildIndex(c.kb, p, repair.Options{
 		MaxGraphs: c.opts.RepairMaxGraphs,
@@ -404,135 +296,64 @@ func (c *Cleaner) repairsShardedProv(t *Table, p *Pattern, rows []int, tel *tele
 		Telemetry: tel,
 	})
 	tel.EndStage(telemetry.StageBuildIndex, start)
+	return ix
+}
 
-	// lookup holds the rows actually ranked (one representative per distinct
-	// signature under dedup, every in-range row otherwise, first-occurrence
-	// order either way); slot maps each input row to its lookup index, -1
-	// for out-of-range rows.
+// rankRepairs ranks rows of t against ix into out, keyed by row. Rows
+// collapse onto one ranking per decision unit (the signature group under
+// dedup, the row otherwise — TopK is a pure function of the tuple's values
+// and the read-only index, so duplicates share the ranked list), and the
+// distinct units fan out across ranges, each ranking through a shallow
+// index view that records into the range's pipeline. With a provenance
+// recorder, every ranked unit's candidate list is captured.
+func (c *Cleaner) rankRepairs(ix *repair.Index, t *Table, rows []int, in *table.Interned, tel *telemetry.Pipeline, rec *provenance.Recorder, out map[int][]Repair) {
+	// lookup holds the rows actually ranked (one representative per unit,
+	// first-occurrence order); slot maps each input row to its lookup
+	// index, -1 for out-of-range rows.
 	lookup := make([]int, 0, len(rows))
 	slot := make([]int, len(rows))
-	if in != nil && in.NumRows() == t.NumRows() {
-		seen := make(map[int]int)
-		for i, row := range rows {
-			if row < 0 || row >= t.NumRows() {
-				slot[i] = -1
-				continue
-			}
-			g := in.GroupOf(row)
-			li, ok := seen[g]
-			if !ok {
-				li = len(lookup)
-				seen[g] = li
-				lookup = append(lookup, row)
-			}
-			slot[i] = li
+	seen := make(map[int]int)
+	for i, row := range rows {
+		if row < 0 || row >= t.NumRows() {
+			slot[i] = -1
+			continue
 		}
-	} else {
-		for i, row := range rows {
-			if row < 0 || row >= t.NumRows() {
-				slot[i] = -1
-				continue
-			}
-			slot[i] = len(lookup)
+		u := unitOf(in, row)
+		li, ok := seen[u]
+		if !ok {
+			li = len(lookup)
+			seen[u] = li
 			lookup = append(lookup, row)
 		}
+		slot[i] = li
 	}
-
-	// Provenance: record the ranked candidate list per decision unit (the
-	// signature group under dedup, the row itself otherwise). Conversions
-	// are built only when recording is on — the disabled path stays
-	// allocation-free.
-	unitOf := func(row int) int {
-		if in != nil && in.NumRows() == t.NumRows() {
-			return in.GroupOf(row)
-		}
-		return row
-	}
-	toCands := repairCandidates
-
-	perRow := make([][]Repair, len(lookup))
-	switch {
-	case shards > 1 && len(lookup) >= 2:
-		ranges := shardRanges(len(lookup), shards)
-		children := shardPipelines(tel, len(ranges))
-		var provChildren []*provenance.Recorder
-		if rec.Enabled() {
-			provChildren = make([]*provenance.Recorder, len(ranges))
-			for i := range provChildren {
-				provChildren[i] = rec.Child()
-			}
-		}
-		var wg sync.WaitGroup
-		var panicked atomic.Pointer[PanicError]
-		for i, rg := range ranges {
-			wg.Add(1)
-			go func(shard int, rg shardRange, child *telemetry.Pipeline) {
-				defer wg.Done()
-				runShardGuarded(&panicked, shard, func() {
-					ixs := ix.WithTelemetry(child)
-					for i := rg.Lo; i < rg.Hi; i++ {
-						reps, considered := ixs.TopKStats(t.Rows[lookup[i]], c.opts.RepairK)
-						perRow[i] = reps
-						if provChildren != nil {
-							provChildren[shard].RecordRepair(unitOf(lookup[i]), considered, toCands(reps))
-						}
-					}
-				})
-			}(i, rg, children[i])
-		}
-		wg.Wait()
-		rethrow(&panicked)
-		for _, child := range children {
-			tel.Merge(child)
-		}
-		// Units are disjoint across shards, so merging children in shard
-		// order yields the same recorder state regardless of which
-		// goroutine finished first.
-		for _, pc := range provChildren {
-			rec.Merge(pc)
-		}
-	case c.opts.Workers > 1 && len(lookup) >= 2*c.opts.Workers:
-		// Per-row retrieval is independent and the index is read-only:
-		// work-steal across the worker pool, keyed by lookup index. The
-		// recorder is mutex-guarded and repair records are keyed by unit,
-		// so direct recording is race-free and order-independent.
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		var panicked atomic.Pointer[PanicError]
-		for w := 0; w < c.opts.Workers; w++ {
-			wg.Add(1)
-			go func(worker int) {
-				defer wg.Done()
-				runShardGuarded(&panicked, worker, func() {
-					for {
-						i := int(next.Add(1)) - 1
-						if i >= len(lookup) {
-							return
-						}
-						reps, considered := ix.TopKStats(t.Rows[lookup[i]], c.opts.RepairK)
-						perRow[i] = reps
-						if rec.Enabled() {
-							rec.RecordRepair(unitOf(lookup[i]), considered, toCands(reps))
-						}
-					}
-				})
-			}(w)
-		}
-		wg.Wait()
-		rethrow(&panicked)
-	default:
-		for i, row := range lookup {
-			reps, considered := ix.TopKStats(t.Rows[row], c.opts.RepairK)
-			perRow[i] = reps
+	ranked := make([][]Repair, len(lookup))
+	fanout.Run(len(lookup), c.opts.Workers, tel, rec, func(r fanout.Range, tel *telemetry.Pipeline, rec *provenance.Recorder) {
+		ixr := ix.WithTelemetry(tel)
+		for i := r.Lo; i < r.Hi; i++ {
+			reps, considered := ixr.TopKStats(t.Rows[lookup[i]], c.opts.RepairK)
+			ranked[i] = reps
 			if rec.Enabled() {
-				rec.RecordRepair(unitOf(row), considered, toCands(reps))
+				rec.RecordRepair(unitOf(in, lookup[i]), considered, repairCandidates(reps))
 			}
 		}
-	}
+	})
 	for i, row := range rows {
 		if slot[i] >= 0 {
-			out[row] = perRow[slot[i]]
+			out[row] = ranked[slot[i]]
 		}
 	}
-	return out
+}
+
+// repairCandidates converts a ranked repair list to its provenance record.
+func repairCandidates(reps []Repair) []provenance.Candidate {
+	cands := make([]provenance.Candidate, len(reps))
+	for j, r := range reps {
+		ch := make([]provenance.Change, len(r.Changes))
+		for k, cg := range r.Changes {
+			ch[k] = provenance.Change{Col: cg.Col, From: cg.From, To: cg.To}
+		}
+		cands[j] = provenance.Candidate{Graph: r.Graph.ID, Cost: r.Cost, Changes: ch}
+	}
+	return cands
 }

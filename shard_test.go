@@ -1,12 +1,16 @@
 package katara
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"katara/internal/fanout"
 	"katara/internal/table"
 	"katara/internal/workload"
 	"katara/internal/world"
@@ -50,9 +54,9 @@ func stripTimings(r *Report) *Report {
 }
 
 // TestShardedMatchesUnsharded is the root-level `sharded(T, N) ≡
-// unsharded(T)` invariant: for every shard count the full report — pattern,
-// annotations, enrichment facts, repairs, crowd accounting, degradation
-// flags — is identical. (The propcheck harness re-proves this byte-for-byte
+// unsharded(T)` invariant: for every worker count the full report —
+// pattern, annotations, enrichment facts, repairs, crowd accounting,
+// degradation flags — is identical. (The propcheck harness re-proves this byte-for-byte
 // on canonical serializations; this test keeps the property one `go test ./`
 // away.)
 func TestShardedMatchesUnsharded(t *testing.T) {
@@ -66,12 +70,12 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 		t.Fatal("fixture produced no repairs; the invariant would be vacuous")
 	}
 	for _, shards := range []int{1, 2, 3, 4, runtime.GOMAXPROCS(0), 97} {
-		got, err := newCleaner(Options{Telemetry: true}).CleanSharded(dirty, shards)
+		got, err := newCleaner(Options{Telemetry: true, Workers: shards}).Clean(dirty)
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
 		if got.Timings == nil {
-			t.Fatalf("shards=%d: Telemetry option lost in sharded path", shards)
+			t.Fatalf("workers=%d: Telemetry option lost in the fan-out path", shards)
 		}
 		var kbLookups int64
 		for _, c := range got.Timings.Counters {
@@ -80,16 +84,16 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 			}
 		}
 		if kbLookups == 0 {
-			t.Fatalf("shards=%d: shard telemetry not merged, kb-lookups = 0", shards)
+			t.Fatalf("workers=%d: range telemetry not merged, kb-lookups = 0", shards)
 		}
 		if !reflect.DeepEqual(stripTimings(got), want) {
-			t.Errorf("shards=%d: report differs from unsharded run", shards)
+			t.Errorf("workers=%d: report differs from unsharded run", shards)
 		}
 	}
 }
 
-// TestShardsOptionWired: Options.Shards drives CleanContext the same way an
-// explicit CleanSharded count does, and negative means GOMAXPROCS.
+// TestShardsOptionWired: the deprecated Options.Shards alias still drives
+// the fan-out (folded into Workers), and negative means GOMAXPROCS.
 func TestShardsOptionWired(t *testing.T) {
 	dirty, newCleaner := shardFixture(t, 200)
 	want, err := newCleaner(Options{}).Clean(dirty)
@@ -127,8 +131,8 @@ func TestShardedDeadlineDegrades(t *testing.T) {
 	}
 }
 
-// TestShardRanges checks the row partitioner: full cover, contiguity,
-// near-equal balance, and sane clamping at the edges.
+// TestShardRanges checks the executor's range partitioner: full cover,
+// contiguity, near-equal balance, and sane clamping at the edges.
 func TestShardRanges(t *testing.T) {
 	cases := []struct {
 		n, shards, want int
@@ -137,20 +141,20 @@ func TestShardRanges(t *testing.T) {
 		{1, 4, 1}, {10, 0, 1}, {10, -2, 1}, {1000, 7, 7},
 	}
 	for _, c := range cases {
-		ranges := shardRanges(c.n, c.shards)
+		ranges := fanout.Ranges(c.n, c.shards)
 		if len(ranges) != c.want {
-			t.Errorf("shardRanges(%d, %d) = %d ranges, want %d", c.n, c.shards, len(ranges), c.want)
+			t.Errorf("Ranges(%d, %d) = %d ranges, want %d", c.n, c.shards, len(ranges), c.want)
 			continue
 		}
 		lo := 0
 		for _, rg := range ranges {
 			if rg.Lo != lo || rg.Hi <= rg.Lo {
-				t.Fatalf("shardRanges(%d, %d): bad range %+v at lo=%d", c.n, c.shards, rg, lo)
+				t.Fatalf("Ranges(%d, %d): bad range %+v at lo=%d", c.n, c.shards, rg, lo)
 			}
 			lo = rg.Hi
 		}
 		if lo != c.n {
-			t.Errorf("shardRanges(%d, %d) covers %d rows", c.n, c.shards, lo)
+			t.Errorf("Ranges(%d, %d) covers %d rows", c.n, c.shards, lo)
 		}
 		min, max := c.n, 0
 		for _, rg := range ranges {
@@ -161,7 +165,7 @@ func TestShardRanges(t *testing.T) {
 			}
 		}
 		if max > 0 && max-min > 1 {
-			t.Errorf("shardRanges(%d, %d): imbalance min=%d max=%d", c.n, c.shards, min, max)
+			t.Errorf("Ranges(%d, %d): imbalance min=%d max=%d", c.n, c.shards, min, max)
 		}
 	}
 }
@@ -175,8 +179,7 @@ func TestShardedPersonScale(t *testing.T) {
 		t.Skip("large sharded run skipped with -short")
 	}
 	dirty, newCleaner := shardFixture(t, 20000)
-	rep, err := newCleaner(Options{Workers: runtime.GOMAXPROCS(0)}).
-		CleanSharded(dirty, runtime.GOMAXPROCS(0))
+	rep, err := newCleaner(Options{Workers: runtime.GOMAXPROCS(0)}).Clean(dirty)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,5 +188,47 @@ func TestShardedPersonScale(t *testing.T) {
 	}
 	if len(rep.Repairs) == 0 {
 		t.Fatal("no repairs at scale")
+	}
+}
+
+// TestShardPanicIsolationEveryFanOut injects a panic on the k-th range of a
+// Workers: 2 clean, for every k up to the number of ranges the clean runs:
+// the four fan-outs (discovery candidate generation, annotation coverage,
+// instance-graph enumeration and repair retrieval) each run two ranges
+// here. Every injected panic must reach the recovering caller as a
+// *PanicError carrying the worker's stack — an unguarded worker would kill
+// the test binary instead.
+func TestShardPanicIsolationEveryFanOut(t *testing.T) {
+	dirty, newCleaner := shardFixture(t, 200)
+	var calls atomic.Int64
+	ShardPanicHook = func(int) { calls.Add(1) }
+	defer func() { ShardPanicHook = nil }()
+	if _, err := newCleaner(Options{Workers: 2}).Clean(dirty); err != nil {
+		t.Fatal(err)
+	}
+	total := calls.Load()
+	if total < 8 {
+		t.Fatalf("a Workers: 2 clean ran %d ranges, want at least 2 per fan-out (8)", total)
+	}
+	for k := int64(1); k <= total; k++ {
+		calls.Store(0)
+		ShardPanicHook = func(shard int) {
+			if calls.Add(1) == k {
+				panic(fmt.Sprintf("injected panic %d in range %d", k, shard))
+			}
+		}
+		var got any
+		func() {
+			defer func() { got = recover() }()
+			newCleaner(Options{Workers: 2}).Clean(dirty)
+		}()
+		pe, ok := got.(*PanicError)
+		if !ok {
+			t.Fatalf("k=%d: recovered %T (%v), want *PanicError", k, got, got)
+		}
+		if !strings.Contains(pe.Error(), fmt.Sprintf("injected panic %d ", k)) ||
+			!strings.Contains(pe.Stack, "runShardGuarded") {
+			t.Fatalf("k=%d: %v, stack:\n%s", k, pe, pe.Stack)
+		}
 	}
 }
