@@ -1,12 +1,7 @@
 # Developer checks. `make check` is the gate every change must pass:
-# build + vet + full test suite under the race detector.
+# build + gofmt check + vet + full test suite under the race detector.
 
 GO ?= go
-
-# Snapshot knobs for bench-save: where the snapshot lands and how long each
-# benchmark runs. Longer BENCH_TIME gives steadier numbers.
-BENCH_OUT ?= BENCH_10.json
-BENCH_TIME ?= 200ms
 
 # Generous wall-clock ceiling for the full-paper-scale smoke assertion:
 # BenchmarkPersonFullScale runs ~3s/op on a modest dev box; 120s means only a
@@ -17,7 +12,7 @@ FULLSCALE_CEILING ?= 120s
 FUZZTIME ?= 30s
 COVER_OUT ?= coverage.out
 
-.PHONY: all build vet test race bench bench-smoke bench-save obs-smoke \
+.PHONY: all build fmt-check vet test race bench bench-smoke obs-smoke \
 	daemon-smoke chaos-smoke append-smoke fuzz-smoke cover cover-check \
 	perfbench-test check
 
@@ -25,6 +20,10 @@ all: check
 
 build:
 	$(GO) build ./...
+
+# Fail when any Go file is not gofmt-formatted.
+fmt-check:
+	test -z "$$(gofmt -l .)"
 
 vet:
 	$(GO) vet ./...
@@ -46,12 +45,6 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench=. -benchtime=1x ./...
 	$(GO) test -run '^$$' -bench '^BenchmarkPersonFullScale$$' -benchtime=1x \
 		-timeout $(FULLSCALE_CEILING) .
-
-# Record the benchmark trajectory point: parse `go test -json` output into
-# $(BENCH_OUT) (see DESIGN.md §10 for how to read it).
-bench-save:
-	$(GO) test -run '^$$' -bench=. -benchmem -benchtime=$(BENCH_TIME) -json ./... \
-		| $(GO) run ./cmd/benchsave -out $(BENCH_OUT)
 
 # The benchmark (perfbench/) is its own Go module, so the root build and
 # test never compile it: vet and test it separately, so an API change that
@@ -103,4 +96,4 @@ chaos-smoke:
 append-smoke:
 	./scripts/append_smoke.sh
 
-check: build vet test race
+check: build fmt-check vet test race

@@ -11,7 +11,7 @@
 //	       [-fault-rate 0.3] [-budget 100] [-deadline 30s] [-degrade trust|unknown]
 //	       [-provenance lineage.jsonl] [-explain ROW,COL]
 //	       [-log-level info] [-log-json]
-//	katara -paper-scale [-workers -1] [-explain ROW,COL]
+//	katara -paper-scale [-workers -1] [-stats] [-explain ROW,COL]
 //
 // -provenance records the run's full decision lineage — pattern scores,
 // validation steps, per-tuple KB and crowd evidence, repair candidates with
@@ -23,8 +23,10 @@
 // -paper-scale is a self-contained reproduction of the paper's headline
 // workload: it generates the synthetic world, a DBpedia-shaped KB and the
 // full 316K-row dirty Person table, cleans it end to end, and prints an
-// aggregate summary (rows, distinct signatures, questions, wall-clock, peak
-// memory) instead of per-row repairs.
+// aggregate summary (rows, distinct signatures, questions, wall-clock, the
+// runtime's Sys reservation) instead of per-row repairs; -stats,
+// -stats-verbose and -stats-json print the run's telemetry as in the normal
+// mode.
 //
 // Without a crowd to consult, the -assume policy decides how to treat data
 // the KB does not cover: "trust" (default) treats it as KB incompleteness
@@ -194,8 +196,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "katara: unknown -assume %q\n", *assume)
 		return 2
 	}
+	st := statsFlags{show: *stats, verbose: *statsAll, jsonPath: *statsJSON}
 	if *paperScale {
-		if err := runPaperScale(params, *dedup, *provPath, explain, stdout); err != nil {
+		if err := runPaperScale(params, *dedup, *provPath, explain, st, stdout); err != nil {
 			log.Error("paper-scale run failed", "error", err.Error())
 			return 1
 		}
@@ -205,8 +208,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	err := clean(cleanConfig{
 		kbPath: *kbPath, inPath: *inPath, outPath: *outPath, factPath: *factPath,
 		dotPath: *dotPath, assume: *assume, paths: *paths, verbose: *verbose,
-		stats: *stats, statsAll: *statsAll, statsJSON: *statsJSON,
-		tracePath: *tracePath, listen: *listen, linger: *linger,
+		stats: st, tracePath: *tracePath, listen: *listen, linger: *linger,
 		cpuProfile: *cpuProfile, memProfile: *memProfile,
 		deadline: *deadline, params: params,
 		provPath: *provPath, explain: explain, log: log,
@@ -240,8 +242,9 @@ func parseCell(s string) (cellRef, error) {
 type cleanConfig struct {
 	kbPath, inPath, outPath, factPath, dotPath string
 	assume                                     string
-	paths, verbose, stats, statsAll            bool
-	statsJSON, tracePath, listen               string
+	paths, verbose                             bool
+	stats                                      statsFlags
+	tracePath, listen                          string
 	linger                                     time.Duration
 	cpuProfile, memProfile                     string
 	deadline                                   time.Duration
@@ -299,7 +302,6 @@ func clean(cfg cleanConfig, stdin io.Reader, stdout, stderr io.Writer) (err erro
 
 	opts := cfg.params.Options()
 	opts.DiscoverPaths = cfg.paths
-	opts.Telemetry = cfg.stats
 	opts.Deadline = cfg.deadline
 
 	// Either provenance flag — the journal or a single-cell explanation —
@@ -315,7 +317,7 @@ func clean(cfg cleanConfig, stdin io.Reader, stdout, stderr io.Writer) (err erro
 	// the HTTP endpoints — needs the caller-owned pipeline so it can watch
 	// (or drain) the run rather than only the final report.
 	var pipe *katara.TelemetryPipeline
-	if cfg.stats || cfg.statsJSON != "" || cfg.tracePath != "" || cfg.listen != "" {
+	if cfg.stats.enabled() || cfg.tracePath != "" || cfg.listen != "" {
 		pipe = katara.NewTelemetry()
 		opts.Pipeline = pipe
 	}
@@ -454,14 +456,8 @@ func clean(cfg cleanConfig, stdin io.Reader, stdout, stderr io.Writer) (err erro
 		}
 		fmt.Fprintf(stdout, "new facts written to %s\n", cfg.factPath)
 	}
-	if cfg.stats {
-		report.Timings.Verbose = cfg.statsAll
-		fmt.Fprint(stdout, report.Timings)
-	}
-	if cfg.statsJSON != "" {
-		if err := writeStatsJSON(report.Timings, cfg.statsJSON); err != nil {
-			return err
-		}
+	if err := cfg.stats.print(report.Timings, stdout); err != nil {
+		return err
 	}
 	if cfg.tracePath != "" {
 		fmt.Fprintf(stdout, "span journal (%d spans) written to %s\n", pipe.Journal().Spans(), cfg.tracePath)
@@ -478,6 +474,29 @@ func clean(cfg cleanConfig, stdin io.Reader, stdout, stderr io.Writer) (err erro
 	if srv != nil && cfg.linger > 0 {
 		fmt.Fprintf(stdout, "run complete; serving for another %s\n", cfg.linger)
 		time.Sleep(cfg.linger)
+	}
+	return nil
+}
+
+// statsFlags carries -stats, -stats-verbose and -stats-json, shared by the
+// normal and the -paper-scale mode.
+type statsFlags struct {
+	show, verbose bool
+	jsonPath      string
+}
+
+// enabled reports whether the run must record telemetry for the flags.
+func (s statsFlags) enabled() bool { return s.show || s.jsonPath != "" }
+
+// print renders the run's telemetry snapshot as the flags ask: the text
+// table on stdout for -stats, the JSON document for -stats-json.
+func (s statsFlags) print(snap *katara.Timings, stdout io.Writer) error {
+	if s.show {
+		snap.Verbose = s.verbose
+		fmt.Fprint(stdout, snap)
+	}
+	if s.jsonPath != "" {
+		return writeStatsJSON(snap, s.jsonPath)
 	}
 	return nil
 }

@@ -257,3 +257,29 @@ func TestRunRejectsBadLogLevel(t *testing.T) {
 		t.Fatalf("stderr does not name the bad level: %q", stderr.String())
 	}
 }
+
+// TestRunPaperScaleStats: -paper-scale honours -stats — the stage timings
+// follow the summary — and names its memory figure for what it is, the
+// runtime's Sys reservation, rather than a peak.
+func TestRunPaperScaleStats(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cleans the full 316K-row Person table")
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-paper-scale", "-stats"}, strings.NewReader(""), &stdout, &stderr); code != 0 {
+		t.Fatalf("exit code = %d, stderr %q", code, stderr.String())
+	}
+	out := stdout.String()
+	if !strings.Contains(out, "pipeline stages:") || !strings.Contains(out, "  annotate ") {
+		t.Fatalf("-stats printed no stage timings:\n%s", out)
+	}
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "wall-clock:") {
+			if strings.Contains(line, "peak") || !strings.Contains(line, "runtime Sys:") {
+				t.Fatalf("memory line %q should report runtime Sys, not a peak", line)
+			}
+			return
+		}
+	}
+	t.Fatalf("no wall-clock line:\n%s", out)
+}

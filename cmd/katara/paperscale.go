@@ -22,11 +22,13 @@ import (
 // pipeline, and prints an aggregate summary only: at this scale the per-row
 // repair listing of the normal mode would be ~30K lines of noise.
 //
-// With -provenance or -explain the recorder rides along, the run
-// cross-checks that every repaired cell is explainable (non-empty evidence
-// chain whose top-ranked candidate replays the applied repair), and the
-// journal / per-cell explanation is emitted after the summary.
-func runPaperScale(params jobs.Params, dedup bool, provPath string, explain *cellRef, stdout io.Writer) error {
+// -stats, -stats-verbose and -stats-json print the run's telemetry after the
+// summary, as in the normal mode. With -provenance or -explain the recorder
+// rides along, the run cross-checks that every repaired cell is explainable
+// (non-empty evidence chain whose top-ranked candidate replays the applied
+// repair), and the journal / per-cell explanation is emitted after the
+// summary.
+func runPaperScale(params jobs.Params, dedup bool, provPath string, explain *cellRef, st statsFlags, stdout io.Writer) error {
 	w := world.New(7, world.Config{
 		Persons: 150, Players: 80, Clubs: 16, Universities: 40,
 		Films: 40, Books: 40,
@@ -47,6 +49,7 @@ func runPaperScale(params jobs.Params, dedup bool, provPath string, explain *cel
 	if opts.MaxRows == 0 {
 		opts.MaxRows = 500 // discovery sampling cap; patterns saturate long before 316K rows
 	}
+	opts.Telemetry = st.enabled()
 	var rec *katara.ProvenanceRecorder
 	if provPath != "" || explain != nil {
 		rec = katara.NewProvenance()
@@ -87,8 +90,13 @@ func runPaperScale(params jobs.Params, dedup bool, provPath string, explain *cel
 	fmt.Fprintf(stdout, "repairs proposed for %d rows, %d new facts inferred\n",
 		len(report.Repairs), len(report.NewFacts))
 	fmt.Fprintf(stdout, "crowd questions asked: %d (dedup %v)\n", report.QuestionsAsked, dedup)
-	fmt.Fprintf(stdout, "wall-clock: %s, peak memory: %d MiB\n",
+	// Sys is the process-lifetime reservation from the OS (world and table
+	// generation included), not the clean's own high-water mark.
+	fmt.Fprintf(stdout, "wall-clock: %s, runtime Sys: %d MiB\n",
 		elapsed.Round(time.Millisecond), m.Sys/(1<<20))
+	if err := st.print(report.Timings, stdout); err != nil {
+		return err
+	}
 	if rec != nil {
 		verified, err := verifyExplainable(rec, report)
 		if err != nil {

@@ -2,6 +2,7 @@ package annotation
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"katara/internal/crowd"
@@ -161,7 +162,7 @@ func TestEnrichmentFeedsBackIntoKB(t *testing.T) {
 	// The fact is now queryable in the KB.
 	sa := f.kb.MatchLabel("S. Africa", 0.7)[0].Resource
 	pret := f.kb.MatchLabel("Pretoria", 0.7)[0].Resource
-	if !f.kb.Has(sa, f.hasCap, pret) {
+	if !slices.Contains(f.kb.Objects(sa, f.hasCap), pret) {
 		t.Fatal("enriched fact missing from KB")
 	}
 }

@@ -2,6 +2,7 @@ package cleaning
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"katara/internal/fd"
@@ -76,7 +77,7 @@ func TestEQDeterministic(t *testing.T) {
 	a, b := mk(), mk()
 	EQ(a, []fd.FD{fd.New([]int{0}, []int{1})})
 	EQ(b, []fd.FD{fd.New([]int{0}, []int{1})})
-	if d, _ := a.Diff(b); len(d) != 0 {
+	if !reflect.DeepEqual(a.Rows, b.Rows) {
 		t.Fatal("EQ nondeterministic")
 	}
 	if a.Rows[0][1] != "Madrid" || a.Rows[1][1] != "Madrid" {

@@ -6,16 +6,15 @@
 // the paper (§5.1: "each question is asked three times, and the majority
 // answer is taken").
 //
-// A resilience layer (transport.go, resilience.go) sits between Ask and the
-// pool: assignments route through a pluggable Transport (fault injection for
-// chaos testing), failures are retried with capped exponential backoff and
-// reassigned to fresh workers, low-margin votes escalate with extra
-// assignments, and question/assignment budgets plus context deadlines bound
-// total consumption.
+// A resilience layer (transport.go, resilience.go) sits between AskContext
+// and the pool: assignments route through a pluggable Transport (fault
+// injection for chaos testing), failures are retried with capped
+// exponential backoff and reassigned to fresh workers, low-margin votes
+// escalate with extra assignments, and question/assignment budgets plus
+// context deadlines bound total consumption.
 package crowd
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -121,14 +120,6 @@ type Stats struct {
 	Escalations  int
 }
 
-// Cost converts the accounting into money at a per-assignment rate — the
-// §1/§5 objective ("optimizing the order of issuing questions to reduce
-// monetary cost") made concrete. Crowdsourcing markets price per
-// assignment (each of the 3 redundant answers is paid), not per question.
-func (s Stats) Cost(perAssignment float64) float64 {
-	return float64(s.Assignments) * perAssignment
-}
-
 func (s *Stats) record(k Kind, assignments int) {
 	s.Questions++
 	s.Assignments += assignments
@@ -138,16 +129,18 @@ func (s *Stats) record(k Kind, assignments int) {
 	s.ByKind[k]++
 }
 
+// assignments is the per-question redundancy: §5.1 asks every question
+// three times and takes the majority answer.
+const assignments = 3
+
 // Crowd is the worker pool. All exported methods are safe for concurrent
-// use: the shared rng, stats and reliability estimates are guarded by mu
-// (the pipeline's parallel stages may reach the crowd from worker
-// goroutines).
+// use: the shared rng and stats are guarded by mu (the pipeline's parallel
+// stages may reach the crowd from worker goroutines).
 type Crowd struct {
-	mu          sync.Mutex
-	workers     []Worker
-	rng         *rand.Rand
-	assignments int
-	stats       Stats
+	mu      sync.Mutex
+	workers []Worker
+	rng     *rand.Rand
+	stats   Stats
 
 	// backoffRng draws retry-backoff jitter. It is deliberately separate
 	// from rng: concurrent sharded jobs must not retry in lockstep, but the
@@ -161,11 +154,6 @@ type Crowd struct {
 	escalate  EscalationPolicy
 	budget    *Budget // nil = unlimited
 
-	// Quality control (quality.go): per-worker reliability estimates and
-	// the weighted-voting switch.
-	estimates Reliability
-	weighted  bool
-
 	// tel mirrors every question into a telemetry pipeline; nil disables.
 	tel *telemetry.Pipeline
 
@@ -174,65 +162,25 @@ type Crowd struct {
 	prov *provenance.Recorder
 }
 
-// Option configures a Crowd.
-type Option func(*Crowd)
-
-// WithAssignments overrides the per-question assignment count (default 3).
-func WithAssignments(n int) Option {
-	return func(c *Crowd) {
-		if n > 0 {
-			c.assignments = n
-		}
-	}
-}
-
-// WithTransport routes every assignment through t (nil = direct delivery).
-func WithTransport(t Transport) Option {
-	return func(c *Crowd) { c.transport = t }
-}
-
-// WithRetry overrides the per-assignment retry policy.
-func WithRetry(r RetryPolicy) Option {
-	return func(c *Crowd) { c.retry = r }
-}
-
-// WithEscalation enables adaptive redundancy under e.
-func WithEscalation(e EscalationPolicy) Option {
-	return func(c *Crowd) { c.escalate = e }
-}
-
-// WithBudget caps the crowd's total consumption (nil = unlimited).
-func WithBudget(b *Budget) Option {
-	return func(c *Crowd) { c.budget = b }
-}
-
 // jitterSeedSalt decorrelates the backoff-jitter rng from the decision rng
 // while keeping both derived from the same crowd seed.
 const jitterSeedSalt = 0x6a697474 // "jitt"
 
-// newCrowd is the shared construction path: defaults applied here, workers
-// and options by the callers. The backoff-jitter rng is seeded separately
-// from the decision rng so jitter never perturbs worker permutations or
-// answers — reports stay byte-identical with jitter on or off.
+// newCrowd is the shared construction path; workers are added by the
+// callers. The backoff-jitter rng is seeded separately from the decision rng
+// so jitter never perturbs worker permutations or answers — reports stay
+// byte-identical with jitter on or off.
 func newCrowd(rng *rand.Rand, seed int64) *Crowd {
 	return &Crowd{
-		rng:         rng,
-		assignments: 3,
-		backoffRng:  rand.New(rand.NewSource(seed ^ jitterSeedSalt)),
+		rng:        rng,
+		backoffRng: rand.New(rand.NewSource(seed ^ jitterSeedSalt)),
 	}
-}
-
-func (c *Crowd) apply(opts []Option) *Crowd {
-	for _, o := range opts {
-		o(c)
-	}
-	return c
 }
 
 // New builds a crowd of n workers with the given mean accuracy. Individual
 // worker accuracies are jittered ±0.05 around the mean, clamped to [0.5, 1].
 // All randomness flows from seed, keeping experiments reproducible.
-func New(n int, meanAccuracy float64, seed int64, opts ...Option) *Crowd {
+func New(n int, meanAccuracy float64, seed int64) *Crowd {
 	rng := rand.New(rand.NewSource(seed))
 	c := newCrowd(rng, seed)
 	for i := 0; i < n; i++ {
@@ -245,23 +193,18 @@ func New(n int, meanAccuracy float64, seed int64, opts ...Option) *Crowd {
 		}
 		c.workers = append(c.workers, Worker{ID: i, Accuracy: acc})
 	}
-	return c.apply(opts)
+	return c
 }
 
 // Perfect returns a crowd of always-correct workers, for tests and for the
-// paper's "experts in the KB" assumption at its limit. It accepts the same
-// Options as New (accuracies are pinned to 1 rather than jittered, so the
-// rng stream starts identically to the historical Perfect).
-func Perfect(n int, opts ...Option) *Crowd {
+// paper's "experts in the KB" assumption at its limit.
+func Perfect(n int) *Crowd {
 	c := newCrowd(rand.New(rand.NewSource(0)), 0)
 	for i := 0; i < n; i++ {
 		c.workers = append(c.workers, Worker{ID: i, Accuracy: 1})
 	}
-	return c.apply(opts)
+	return c
 }
-
-// NumWorkers returns the pool size.
-func (c *Crowd) NumWorkers() int { return len(c.workers) }
 
 // Stats returns a copy of the accumulated accounting.
 func (c *Crowd) Stats() Stats {
@@ -325,20 +268,4 @@ func (c *Crowd) SetBudget(b *Budget) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.budget = b
-}
-
-// Ask routes q to `assignments` distinct randomly chosen workers and returns
-// the majority answer (ties broken toward the lowest option index). With
-// reliability estimates installed (Calibrate / EstimateReliability), votes
-// are weighted by each worker's log-odds accuracy instead. Ask is
-// AskContext without a deadline; resilience errors (exhausted budget, a
-// fully failed question) degrade to option 0.
-func (c *Crowd) Ask(q Question) int {
-	a, _ := c.AskContext(context.Background(), q)
-	return a
-}
-
-// AskBoolean asks a yes/no question and returns true for "Yes".
-func (c *Crowd) AskBoolean(prompt string, holds bool) bool {
-	return c.Ask(Boolean(prompt, holds)) == 0
 }

@@ -1,6 +1,7 @@
 package crowd
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -14,7 +15,7 @@ func TestPerfectCrowdAlwaysCorrect(t *testing.T) {
 		Truth:   0,
 	}
 	for i := 0; i < 50; i++ {
-		if got := c.Ask(q); got != 0 {
+		if got, _ := c.AskContext(context.Background(), q); got != 0 {
 			t.Fatalf("perfect crowd answered %d", got)
 		}
 	}
@@ -22,10 +23,11 @@ func TestPerfectCrowdAlwaysCorrect(t *testing.T) {
 
 func TestBooleanQuestions(t *testing.T) {
 	c := Perfect(3)
-	if !c.AskBoolean("Does S. Africa hasCapital Pretoria?", true) {
+	ctx := context.Background()
+	if yes, _ := c.AskBooleanContext(ctx, "Does S. Africa hasCapital Pretoria?", true); !yes {
 		t.Fatal("expected Yes")
 	}
-	if c.AskBoolean("Does Italy hasCapital Madrid?", false) {
+	if yes, _ := c.AskBooleanContext(ctx, "Does Italy hasCapital Madrid?", false); yes {
 		t.Fatal("expected No")
 	}
 }
@@ -38,7 +40,7 @@ func TestMajorityVotingBeatsIndividualError(t *testing.T) {
 	wrong := 0
 	const trials = 2000
 	for i := 0; i < trials; i++ {
-		if c.Ask(q) != 0 {
+		if a, _ := c.AskContext(context.Background(), q); a != 0 {
 			wrong++
 		}
 	}
@@ -60,10 +62,10 @@ func TestDifficultyRaisesErrors(t *testing.T) {
 	hard.Difficulty = 0.6
 	wrongEasy, wrongHard := 0, 0
 	for i := 0; i < 2000; i++ {
-		if easyCrowd.Ask(easy) != 1 {
+		if a, _ := easyCrowd.AskContext(context.Background(), easy); a != 1 {
 			wrongEasy++
 		}
-		if hardCrowd.Ask(hard) != 1 {
+		if a, _ := hardCrowd.AskContext(context.Background(), hard); a != 1 {
 			wrongHard++
 		}
 	}
@@ -74,9 +76,10 @@ func TestDifficultyRaisesErrors(t *testing.T) {
 
 func TestStatsAccounting(t *testing.T) {
 	c := Perfect(5)
-	c.Ask(Question{Kind: TypeValidation, Options: []string{"a", "b"}, Truth: 0})
-	c.Ask(Question{Kind: RelationshipValidation, Options: []string{"a", "b"}, Truth: 0})
-	c.AskBoolean("x?", true)
+	ctx := context.Background()
+	c.AskContext(ctx, Question{Kind: TypeValidation, Options: []string{"a", "b"}, Truth: 0})
+	c.AskContext(ctx, Question{Kind: RelationshipValidation, Options: []string{"a", "b"}, Truth: 0})
+	c.AskBooleanContext(ctx, "x?", true)
 	s := c.Stats()
 	if s.Questions != 3 {
 		t.Fatalf("Questions = %d", s.Questions)
@@ -95,7 +98,7 @@ func TestStatsAccounting(t *testing.T) {
 
 func TestStatsReturnsCopy(t *testing.T) {
 	c := Perfect(3)
-	c.AskBoolean("x?", true)
+	c.AskBooleanContext(context.Background(), "x?", true)
 	s := c.Stats()
 	s.ByKind[TypeValidation] = 99
 	if c.Stats().ByKind[TypeValidation] == 99 {
@@ -105,17 +108,9 @@ func TestStatsReturnsCopy(t *testing.T) {
 
 func TestAssignmentsCappedByPoolSize(t *testing.T) {
 	c := Perfect(2)
-	c.AskBoolean("x?", true)
+	c.AskBooleanContext(context.Background(), "x?", true)
 	if got := c.Stats().Assignments; got != 2 {
 		t.Fatalf("Assignments = %d, want 2", got)
-	}
-}
-
-func TestWithAssignmentsOption(t *testing.T) {
-	c := New(10, 1.0, 1, WithAssignments(5))
-	c.AskBoolean("x?", true)
-	if got := c.Stats().Assignments; got != 5 {
-		t.Fatalf("Assignments = %d, want 5", got)
 	}
 }
 
@@ -125,7 +120,8 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 		q := Question{Kind: TypeValidation, Options: []string{"a", "b", "c"}, Truth: 2, Difficulty: 0.2}
 		var out []int
 		for i := 0; i < 100; i++ {
-			out = append(out, c.Ask(q))
+			a, _ := c.AskContext(context.Background(), q)
+			out = append(out, a)
 		}
 		return out
 	}

@@ -1,6 +1,7 @@
 package crowd
 
 import (
+	"context"
 	"testing"
 	"time"
 )
@@ -140,7 +141,8 @@ func TestJitterDoesNotPerturbDecisions(t *testing.T) {
 				}
 				c.mu.Unlock()
 			}
-			out = append(out, c.Ask(q))
+			a, _ := c.AskContext(context.Background(), q)
+			out = append(out, a)
 		}
 		return out
 	}

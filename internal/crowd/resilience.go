@@ -3,7 +3,7 @@
 // extra assignments while the vote margin is low), and question/assignment
 // budgets. The paper assumes a cooperative expert crowd (§7.2); a deployed
 // KATARA faces workers who abandon tasks, answer slowly, or spam, and a
-// finite monetary budget — this file makes Ask survive all of that.
+// finite monetary budget — this file makes AskContext survive all of that.
 package crowd
 
 import (
@@ -94,7 +94,7 @@ func (c *Crowd) jitteredBackoff(r RetryPolicy, n int) time.Duration {
 // below MinMargin, extra assignments are posted one at a time up to
 // MaxAssignments.
 type EscalationPolicy struct {
-	// MinMargin in [0,1]: escalate while (best − runnerUp) / totalWeight is
+	// MinMargin in [0,1]: escalate while (best − runnerUp) / votes is
 	// below it. 0 disables escalation (the paper's fixed-redundancy mode).
 	MinMargin float64
 	// MaxAssignments caps the per-question assignment count once escalation
@@ -163,25 +163,10 @@ func (b *Budget) TakeAssignment() bool {
 	return true
 }
 
-// Spent reports the consumed questions and assignments.
-func (b *Budget) Spent() (questions, assignments int) {
-	if b == nil {
-		return 0, 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.questions, b.assignments
-}
-
-// vote is one collected answer with its voting weight (1 for plain
-// majority, log-odds reliability for weighted voting).
-type vote struct {
-	opt    int
-	weight float64
-}
-
-// AskContext is Ask with a deadline and the resilience layer engaged: each
-// assignment is routed through the transport, retried with capped
+// AskContext routes q to three distinct randomly chosen workers and returns
+// the majority answer (ties broken toward the lowest option index), with
+// the resilience layer engaged: each assignment is routed through the
+// transport, retried with capped
 // exponential backoff on transient errors, reassigned to a fresh worker on
 // abandonment or timeout, and — when an EscalationPolicy is configured —
 // topped up with extra assignments while the vote margin is low.
@@ -200,7 +185,7 @@ func (c *Crowd) AskContext(ctx context.Context, q Question) (answer int, err err
 		return 0, ErrBudget
 	}
 
-	n := c.assignments
+	n := assignments
 	if n > len(c.workers) {
 		n = len(c.workers)
 	}
@@ -218,14 +203,14 @@ func (c *Crowd) AskContext(ctx context.Context, q Question) (answer int, err err
 	// One permutation serves the base assignments, reassignments and
 	// escalations: fresh workers are taken in perm order, wrapping around
 	// when the pool is exhausted. Drawing the full Perm up front keeps the
-	// rng stream byte-identical to the pre-resilience Ask.
+	// rng stream byte-identical to the pre-resilience majority vote.
 	perm := c.rng.Perm(len(c.workers))
 	widx := 0
 
 	retry := c.retry.withDefaults()
 	maxSlots := c.escalate.cap(n)
 	var (
-		votes     []vote
+		votes     []int // one chosen option per answered assignment
 		delivered int
 		stop      error // first budget/deadline interruption
 	)
@@ -259,8 +244,7 @@ func (c *Crowd) AskContext(ctx context.Context, q Question) (answer int, err err
 				stop = ErrBudget
 				return false
 			}
-			wi := perm[widx%len(perm)]
-			w := c.workers[wi]
+			w := c.workers[perm[widx%len(perm)]]
 			d := c.transportOrDirect().Deliver(q, w, func() int {
 				return w.answer(q, c.rng)
 			})
@@ -294,12 +278,8 @@ func (c *Crowd) AskContext(ctx context.Context, q Question) (answer int, err err
 			switch fault {
 			case nil:
 				widx++
-				weight := 1.0
-				if c.weighted {
-					weight = logOdds(c.estimates[wi])
-				}
-				votes = append(votes, vote{opt: d.Answer, weight: weight})
-				c.prov.AddVote(qid, w.ID, d.Answer, weight)
+				votes = append(votes, d.Answer)
+				c.prov.AddVote(qid, w.ID, d.Answer, 1)
 				return true
 			case ErrAbandoned:
 				// Reassign to a fresh worker: advance past the abandoner.
@@ -390,61 +370,44 @@ func (c *Crowd) transportOrDirect() Transport {
 }
 
 // voteMargin is the normalised gap between the leading and runner-up
-// options: (best − second) / Σ|weight|. No votes → 0 (maximally uncertain).
-func voteMargin(votes []vote) float64 {
+// options: (best − second) / votes. No votes → 0 (maximally uncertain).
+func voteMargin(votes []int) float64 {
 	if len(votes) == 0 {
 		return 0
 	}
-	byOpt := map[int]float64{}
-	total := 0.0
-	for _, v := range votes {
-		byOpt[v.opt] += v.weight
-		if v.weight < 0 {
-			total -= v.weight
-		} else {
-			total += v.weight
-		}
+	byOpt := map[int]int{}
+	for _, o := range votes {
+		byOpt[o]++
 	}
-	if total == 0 {
-		return 0
-	}
-	best, second := 0.0, 0.0
-	first := true
-	for _, w := range byOpt {
+	best, second := 0, 0
+	for _, n := range byOpt {
 		switch {
-		case first || w > best:
-			if !first {
-				second = best
-			}
-			best = w
-			first = false
-		case w > second:
-			second = w
+		case n > best:
+			best, second = n, best
+		case n > second:
+			second = n
 		}
 	}
-	m := (best - second) / total
-	if m < 0 {
-		return 0
-	}
-	return m
+	return float64(best-second) / float64(len(votes))
 }
 
-// decide aggregates votes into the winning option: highest summed weight,
-// ties broken toward the lowest option index (the pre-resilience rule for
-// both plain and weighted voting).
-func decide(q Question, votes []vote) int {
-	byOpt := map[int]float64{}
+// decide returns the option with the most votes, ties broken toward the
+// lowest option index.
+func decide(q Question, votes []int) int {
 	maxOpt := len(q.Options)
-	for _, v := range votes {
-		byOpt[v.opt] += v.weight
-		if v.opt >= maxOpt {
-			maxOpt = v.opt + 1
+	for _, o := range votes {
+		if o >= maxOpt {
+			maxOpt = o + 1
 		}
 	}
-	best, bestW, have := 0, 0.0, false
-	for opt := 0; opt < maxOpt; opt++ {
-		if w, ok := byOpt[opt]; ok && (!have || w > bestW) {
-			best, bestW, have = opt, w, true
+	counts := make([]int, maxOpt)
+	for _, o := range votes {
+		counts[o]++
+	}
+	best := 0
+	for opt, n := range counts {
+		if n > counts[best] {
+			best = opt
 		}
 	}
 	return best

@@ -57,10 +57,22 @@ func TestFaultInjectorRatesAndAccounting(t *testing.T) {
 	f := NewFaultInjector(FaultConfig{Seed: 1, AbandonRate: 0.3, TransientRate: 0.2, SpamRate: 0.1})
 	q := Boolean("x?", true)
 	const trials = 5000
+	// The honest answer is out of range, so a spam answer (drawn from the
+	// options) is told apart from an honest delivery.
+	var ab, tr, sp, ok int
 	for i := 0; i < trials; i++ {
-		f.Deliver(q, Worker{}, func() int { return q.Truth })
+		d := f.Deliver(q, Worker{}, func() int { return -1 })
+		switch {
+		case d.Err == ErrAbandoned:
+			ab++
+		case d.Err == ErrTransient:
+			tr++
+		case d.Answer == -1:
+			ok++
+		default:
+			sp++
+		}
 	}
-	ab, tr, sp, ok := f.Faults()
 	if ab+tr+sp+ok != trials {
 		t.Fatalf("accounting does not add up: %d+%d+%d+%d != %d", ab, tr, sp, ok, trials)
 	}
@@ -78,16 +90,18 @@ func TestFaultInjectorRatesAndAccounting(t *testing.T) {
 
 func TestZeroRateInjectorIdenticalToDirect(t *testing.T) {
 	q := Question{Kind: TypeValidation, Options: []string{"a", "b", "c"}, Truth: 1, Difficulty: 0.3}
-	run := func(opts ...Option) []int {
-		c := New(10, 0.8, 99, opts...)
+	run := func(t Transport) []int {
+		c := New(10, 0.8, 99)
+		c.SetTransport(t)
 		var out []int
 		for i := 0; i < 300; i++ {
-			out = append(out, c.Ask(q))
+			a, _ := c.AskContext(context.Background(), q)
+			out = append(out, a)
 		}
 		return out
 	}
-	direct := run()
-	injected := run(WithTransport(NewFaultInjector(FaultConfig{Seed: 5})))
+	direct := run(nil)
+	injected := run(NewFaultInjector(FaultConfig{Seed: 5}))
 	for i := range direct {
 		if direct[i] != injected[i] {
 			t.Fatalf("answer %d diverged: direct=%d injected=%d", i, direct[i], injected[i])
@@ -97,8 +111,9 @@ func TestZeroRateInjectorIdenticalToDirect(t *testing.T) {
 
 func TestTransientRetriesSameWorkerWithBackoff(t *testing.T) {
 	st := &scriptTransport{faults: []error{ErrTransient, ErrTransient}}
-	c := Perfect(5, WithTransport(st),
-		WithRetry(RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Microsecond, MaxBackoff: 2 * time.Microsecond}))
+	c := Perfect(5)
+	c.SetTransport(st)
+	c.SetRetry(RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Microsecond, MaxBackoff: 2 * time.Microsecond})
 	a, err := c.AskContext(context.Background(), Boolean("x?", true))
 	if err != nil || a != 0 {
 		t.Fatalf("AskContext = %d, %v", a, err)
@@ -115,8 +130,9 @@ func TestTransientRetriesSameWorkerWithBackoff(t *testing.T) {
 
 func TestAbandonmentReassignsFreshWorker(t *testing.T) {
 	st := &scriptTransport{faults: []error{ErrAbandoned}}
-	c := Perfect(5, WithTransport(st),
-		WithRetry(RetryPolicy{BaseBackoff: time.Microsecond, MaxBackoff: time.Microsecond}))
+	c := Perfect(5)
+	c.SetTransport(st)
+	c.SetRetry(RetryPolicy{BaseBackoff: time.Microsecond, MaxBackoff: time.Microsecond})
 	a, err := c.AskContext(context.Background(), Boolean("x?", true))
 	if err != nil || a != 0 {
 		t.Fatalf("AskContext = %d, %v", a, err)
@@ -145,7 +161,8 @@ func TestRetryBackoffCappedExponential(t *testing.T) {
 
 func TestEscalationTopsUpToCap(t *testing.T) {
 	// MinMargin 1.1 is unreachable, so every question escalates to the cap.
-	c := Perfect(10, WithEscalation(EscalationPolicy{MinMargin: 1.1, MaxAssignments: 7}))
+	c := Perfect(10)
+	c.SetEscalation(EscalationPolicy{MinMargin: 1.1, MaxAssignments: 7})
 	a, err := c.AskContext(context.Background(), Boolean("x?", true))
 	if err != nil || a != 0 {
 		t.Fatalf("AskContext = %d, %v", a, err)
@@ -161,15 +178,17 @@ func TestEscalationTopsUpToCap(t *testing.T) {
 
 func TestEscalationStopsWhenMarginConvincing(t *testing.T) {
 	// A unanimous perfect crowd reaches margin 1.0 immediately: no escalation.
-	c := Perfect(10, WithEscalation(EscalationPolicy{MinMargin: 0.5, MaxAssignments: 9}))
-	c.Ask(Boolean("x?", true))
+	c := Perfect(10)
+	c.SetEscalation(EscalationPolicy{MinMargin: 0.5, MaxAssignments: 9})
+	c.AskContext(context.Background(), Boolean("x?", true))
 	if s := c.Stats(); s.Escalations != 0 || s.Assignments != 3 {
 		t.Fatalf("unexpected escalation: %+v", s)
 	}
 }
 
 func TestQuestionBudgetExhaustion(t *testing.T) {
-	c := Perfect(5, WithBudget(NewBudget(2, 0)))
+	c := Perfect(5)
+	c.SetBudget(NewBudget(2, 0))
 	q := Boolean("x?", true)
 	for i := 0; i < 2; i++ {
 		if _, err := c.AskContext(context.Background(), q); err != nil {
@@ -182,7 +201,8 @@ func TestQuestionBudgetExhaustion(t *testing.T) {
 }
 
 func TestAssignmentBudgetPartialVotesStillDecide(t *testing.T) {
-	c := Perfect(5, WithBudget(NewBudget(0, 4)))
+	c := Perfect(5)
+	c.SetBudget(NewBudget(0, 4))
 	q := Boolean("x?", true)
 	if _, err := c.AskContext(context.Background(), q); err != nil {
 		t.Fatalf("first question failed: %v", err)
@@ -200,9 +220,10 @@ func TestAssignmentBudgetPartialVotesStillDecide(t *testing.T) {
 }
 
 func TestDeadlineRespectedUnderLatency(t *testing.T) {
-	c := Perfect(5, WithTransport(NewFaultInjector(FaultConfig{
+	c := Perfect(5)
+	c.SetTransport(NewFaultInjector(FaultConfig{
 		Seed: 3, MinLatency: 50 * time.Millisecond, MaxLatency: 60 * time.Millisecond,
-	})))
+	}))
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
 	start := time.Now()
@@ -219,14 +240,14 @@ func TestDeadlineRespectedUnderLatency(t *testing.T) {
 }
 
 func TestAssignmentTimeoutTreatedAsAbandonment(t *testing.T) {
-	c := Perfect(5,
-		WithTransport(NewFaultInjector(FaultConfig{Seed: 4, MinLatency: 20 * time.Millisecond, MaxLatency: 25 * time.Millisecond})),
-		WithRetry(RetryPolicy{
-			MaxAttempts:       3,
-			BaseBackoff:       time.Microsecond,
-			MaxBackoff:        time.Microsecond,
-			AssignmentTimeout: time.Millisecond,
-		}))
+	c := Perfect(5)
+	c.SetTransport(NewFaultInjector(FaultConfig{Seed: 4, MinLatency: 20 * time.Millisecond, MaxLatency: 25 * time.Millisecond}))
+	c.SetRetry(RetryPolicy{
+		MaxAttempts:       3,
+		BaseBackoff:       time.Microsecond,
+		MaxBackoff:        time.Microsecond,
+		AssignmentTimeout: time.Millisecond,
+	})
 	_, err := c.AskContext(context.Background(), Boolean("x?", true))
 	if !errors.Is(err, ErrNoAnswers) {
 		t.Fatalf("err = %v, want ErrNoAnswers", err)
@@ -253,18 +274,18 @@ func TestCanceledContextFailsFast(t *testing.T) {
 func TestChaosNeverPanicsAlwaysTerminates(t *testing.T) {
 	q := Question{Kind: TypeValidation, Options: []string{"a", "b", "c"}, Truth: 0, Difficulty: 0.2}
 	for seed := int64(0); seed < 10; seed++ {
-		c := New(8, 0.8, seed,
-			WithTransport(NewFaultInjector(FaultConfig{
-				Seed:          seed,
-				AbandonRate:   0.35,
-				TransientRate: 0.15,
-				SpamRate:      0.1,
-				MinLatency:    100 * time.Microsecond,
-				MaxLatency:    500 * time.Microsecond,
-			})),
-			WithRetry(RetryPolicy{BaseBackoff: 50 * time.Microsecond, MaxBackoff: 200 * time.Microsecond}),
-			WithEscalation(EscalationPolicy{MinMargin: 0.4, MaxAssignments: 7}),
-			WithBudget(NewBudget(50, 200)))
+		c := New(8, 0.8, seed)
+		c.SetTransport(NewFaultInjector(FaultConfig{
+			Seed:          seed,
+			AbandonRate:   0.35,
+			TransientRate: 0.15,
+			SpamRate:      0.1,
+			MinLatency:    100 * time.Microsecond,
+			MaxLatency:    500 * time.Microsecond,
+		}))
+		c.SetRetry(RetryPolicy{BaseBackoff: 50 * time.Microsecond, MaxBackoff: 200 * time.Microsecond})
+		c.SetEscalation(EscalationPolicy{MinMargin: 0.4, MaxAssignments: 7})
+		c.SetBudget(NewBudget(50, 200))
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		start := time.Now()
 		for i := 0; i < 60; i++ {
@@ -281,26 +302,11 @@ func TestChaosNeverPanicsAlwaysTerminates(t *testing.T) {
 	}
 }
 
-// Satellite: Perfect accepts the same Options as New.
-func TestPerfectAcceptsOptions(t *testing.T) {
-	c := Perfect(10, WithAssignments(5))
-	c.AskBoolean("x?", true)
-	if got := c.Stats().Assignments; got != 5 {
-		t.Fatalf("Assignments = %d, want 5", got)
-	}
-	b := NewBudget(1, 0)
-	c2 := Perfect(3, WithBudget(b))
-	c2.AskBoolean("x?", true)
-	if _, err := c2.AskContext(context.Background(), Boolean("y?", true)); !errors.Is(err, ErrBudget) {
-		t.Fatalf("Perfect ignored WithBudget: err = %v", err)
-	}
-}
-
 // Satellite: shared rng and stats are mutex-guarded; run with -race.
 func TestConcurrentAskIsRaceFree(t *testing.T) {
-	c := New(10, 0.85, 17,
-		WithTransport(NewFaultInjector(FaultConfig{Seed: 17, AbandonRate: 0.1, TransientRate: 0.1})),
-		WithRetry(RetryPolicy{BaseBackoff: time.Microsecond, MaxBackoff: time.Microsecond}))
+	c := New(10, 0.85, 17)
+	c.SetTransport(NewFaultInjector(FaultConfig{Seed: 17, AbandonRate: 0.1, TransientRate: 0.1}))
+	c.SetRetry(RetryPolicy{BaseBackoff: time.Microsecond, MaxBackoff: time.Microsecond})
 	q := Boolean("x?", true)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -308,7 +314,7 @@ func TestConcurrentAskIsRaceFree(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				c.Ask(q)
+				c.AskContext(context.Background(), q)
 				_ = c.Stats()
 			}
 		}()
@@ -323,7 +329,7 @@ func TestVoteMarginAndDecide(t *testing.T) {
 	if m := voteMargin(nil); m != 0 {
 		t.Fatalf("empty margin = %f", m)
 	}
-	votes := []vote{{0, 1}, {0, 1}, {1, 1}}
+	votes := []int{0, 0, 1}
 	if m := voteMargin(votes); m < 0.32 || m > 0.34 {
 		t.Fatalf("margin = %f, want ~1/3", m)
 	}
@@ -332,7 +338,7 @@ func TestVoteMarginAndDecide(t *testing.T) {
 		t.Fatal("majority should win")
 	}
 	// Ties break toward the lowest option index.
-	if decide(q, []vote{{1, 1}, {0, 1}}) != 0 {
+	if decide(q, []int{1, 0}) != 0 {
 		t.Fatal("tie must break toward option 0")
 	}
 }

@@ -40,7 +40,7 @@ type Delivery struct {
 	Err error
 }
 
-// Transport stands between Ask and the worker pool: every assignment is
+// Transport stands between AskContext and the worker pool: every assignment is
 // routed through it. The production default (nil transport) delivers
 // instantly and never fails; a FaultInjector simulates an unreliable crowd.
 //
@@ -86,9 +86,6 @@ type FaultInjector struct {
 	mu  sync.Mutex
 	cfg FaultConfig
 	rng *rand.Rand
-
-	// fault accounting, for tests and post-mortems
-	abandoned, transient, spammed, delivered int
 }
 
 // NewFaultInjector builds a FaultInjector from cfg.
@@ -104,31 +101,19 @@ func (f *FaultInjector) Deliver(q Question, w Worker, answer func() int) Deliver
 	u := f.rng.Float64()
 	switch {
 	case u < f.cfg.AbandonRate:
-		f.abandoned++
 		d.Err = ErrAbandoned
 	case u < f.cfg.AbandonRate+f.cfg.TransientRate:
-		f.transient++
 		d.Err = ErrTransient
 	case u < f.cfg.AbandonRate+f.cfg.TransientRate+f.cfg.SpamRate:
-		f.spammed++
 		n := len(q.Options)
 		if n == 0 {
 			n = 1
 		}
 		d.Answer = f.rng.Intn(n)
 	default:
-		f.delivered++
 		d.Answer = answer()
 	}
 	return d
-}
-
-// Faults reports the injector's accounting: assignments abandoned, failed
-// transiently, answered by spam, and delivered honestly.
-func (f *FaultInjector) Faults() (abandoned, transient, spammed, delivered int) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.abandoned, f.transient, f.spammed, f.delivered
 }
 
 // latency draws a uniform latency in [MinLatency, MaxLatency]. Caller holds

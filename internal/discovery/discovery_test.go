@@ -369,9 +369,9 @@ func TestPatternsAreDistinct(t *testing.T) {
 func TestRankJoinEmitsConnectedComponentsViaPattern(t *testing.T) {
 	c := testCandidates(t)
 	p := TopK(c, 1)[0]
-	if !p.Connected() {
+	if len(p.Columns()) != 2 || (p.EdgeBetween(0, 1) == nil && p.EdgeBetween(1, 0) == nil) {
 		// Two columns joined by an edge must be connected.
-		t.Fatal("expected a connected top pattern")
+		t.Fatalf("expected a connected two-column top pattern, got %+v", p)
 	}
 	var _ = pattern.Pattern{} // keep pattern import for clarity of intent
 }
@@ -392,7 +392,7 @@ func TestRankJoinPrunesSearchSpace(t *testing.T) {
 		}
 		c.Columns = append(c.Columns, cc)
 	}
-	ps, stats := TopKWithStats(c, 3)
+	ps, stats := rankJoinStats(c, 3, 1)
 	if len(ps) == 0 {
 		t.Fatal("no patterns")
 	}

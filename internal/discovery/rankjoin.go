@@ -45,11 +45,6 @@ func TopK(c *Candidates, k int) []*pattern.Pattern {
 	return ps
 }
 
-// TopKWithStats is TopK plus search statistics.
-func TopKWithStats(c *Candidates, k int) ([]*pattern.Pattern, SearchStats) {
-	return rankJoinStats(c, k, 1)
-}
-
 // TopKNaive returns the k best patterns under naiveScore (§4.2), i.e. with
 // the coherence term ablated.
 func TopKNaive(c *Candidates, k int) []*pattern.Pattern {

@@ -13,10 +13,7 @@ import (
 	"katara/internal/workload"
 )
 
-// AppendixDFDs returns the FDs of Appendix D translated onto our schemas.
-// Exported for the benchmark harness.
-func AppendixDFDs(tableName string) []fd.FD { return appendixDFDs(tableName) }
-
+// appendixDFDs returns the FDs of Appendix D translated onto our schemas.
 func appendixDFDs(tableName string) []fd.FD {
 	switch tableName {
 	case "Person": // (name, country, capital, language): A → B,C,D

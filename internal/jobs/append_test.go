@@ -68,9 +68,10 @@ func TestManagerAppendChain(t *testing.T) {
 	if st.Parent != rootID {
 		t.Fatalf("increment Parent = %q, want %q", st.Parent, rootID)
 	}
-	rep, _, _, err := m.Report(incID)
+	doc, _, _, err := m.Result(incID)
+	rep := doc.Report
 	if err != nil || rep == nil {
-		t.Fatalf("Report: %v", err)
+		t.Fatalf("Result: %v", err)
 	}
 	if len(rep.Annotations) != dirty.NumRows() {
 		t.Fatalf("increment annotated %d rows, want the cumulative %d", len(rep.Annotations), dirty.NumRows())

@@ -68,9 +68,10 @@ func TestJobHappyPath(t *testing.T) {
 		t.Fatal("missing started/finished timestamps on a done job")
 	}
 
-	rep, state, done, err := m.Report(id)
+	doc, state, done, err := m.Result(id)
+	rep := doc.Report
 	if err != nil || !done || state != StateDone || rep == nil {
-		t.Fatalf("Report = (%v, %s, %v, %v)", rep != nil, state, done, err)
+		t.Fatalf("Result = (%v, %s, %v, %v)", rep != nil, state, done, err)
 	}
 	if len(rep.Annotations) != dirty.NumRows() {
 		t.Fatalf("report annotated %d/%d tuples", len(rep.Annotations), dirty.NumRows())
@@ -83,9 +84,9 @@ func TestJobHappyPath(t *testing.T) {
 		t.Fatalf("Submit #2: %v", err)
 	}
 	waitJob(t, m, id2)
-	rep2, _, _, _ := m.Report(id2)
-	doc1, _ := json.Marshal(BuildResult("x", StateDone, rep).Report)
-	doc2, _ := json.Marshal(BuildResult("x", StateDone, rep2).Report)
+	res2, _, _, _ := m.Result(id2)
+	doc1, _ := json.Marshal(rep)
+	doc2, _ := json.Marshal(res2.Report)
 	if !bytes.Equal(doc1, doc2) {
 		t.Fatal("identical submissions produced different report documents")
 	}
@@ -120,10 +121,11 @@ func TestJobCancelMidRun(t *testing.T) {
 	if st.State != StateCancelled {
 		t.Fatalf("state = %s, want cancelled", st.State)
 	}
-	rep, _, done, err := m.Report(id)
+	doc, _, done, err := m.Result(id)
 	if err != nil || !done {
-		t.Fatalf("Report after cancel: done=%v err=%v", done, err)
+		t.Fatalf("Result after cancel: done=%v err=%v", done, err)
 	}
+	rep := doc.Report
 	if rep == nil {
 		t.Fatal("cancelled run dropped its degraded report")
 	}
@@ -178,7 +180,7 @@ func TestJobCancelQueued(t *testing.T) {
 		t.Fatalf("cancelled queued job %q still ran", name)
 	default:
 	}
-	_, _, done, err := m.Report(id2)
+	_, _, done, err := m.Result(id2)
 	if err != nil || !done {
 		t.Fatalf("cancelled queued job not terminal: done=%v err=%v", done, err)
 	}
@@ -200,9 +202,10 @@ func TestJobDeadlineDegrades(t *testing.T) {
 	if st.State != StateDone {
 		t.Fatalf("state = %s (err %q), want done", st.State, st.Error)
 	}
-	rep, _, _, err := m.Report(id)
+	doc, _, _, err := m.Result(id)
+	rep := doc.Report
 	if err != nil || rep == nil {
-		t.Fatalf("Report: %v", err)
+		t.Fatalf("Result: %v", err)
 	}
 	if !rep.Degraded.RepairsSkipped && rep.Degraded.Tuples == 0 && !rep.Degraded.PatternFallback {
 		t.Fatalf("1ms deadline on %d rows produced an undegraded report", dirty.NumRows())

@@ -117,19 +117,6 @@ func PatternPR(kb *rdf.Store, pred, truth *pattern.Pattern) PR {
 	return pr
 }
 
-// BestTopKF returns the best F-measure among the top-k patterns — the
-// Figure 6/11 metric ("the F value of the top-k patterns is defined as the
-// best value of F from one of the top-k patterns").
-func BestTopKF(kb *rdf.Store, topk []*pattern.Pattern, truth *pattern.Pattern) float64 {
-	best := 0.0
-	for _, p := range topk {
-		if f := PatternPR(kb, p, truth).F(); f > best {
-			best = f
-		}
-	}
-	return best
-}
-
 // RepairCounts tallies a repair experiment (§7.4's metrics).
 type RepairCounts struct {
 	Changes        int // #-all changes proposed

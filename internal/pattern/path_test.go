@@ -63,19 +63,6 @@ func TestHasPathSubProperties(t *testing.T) {
 	}
 }
 
-func TestPathTargets(t *testing.T) {
-	kb := pathKB()
-	pirlo := kb.Res("y:Pirlo")
-	chain := []rdf.ID{kb.Res("wasBornIn"), kb.Res("isLocatedIn")}
-	got := PathTargets(kb, pirlo, chain)
-	if len(got) != 1 || got[0] != kb.Res("y:Italy") {
-		t.Fatalf("PathTargets = %v", got)
-	}
-	if got := PathTargets(kb, pirlo, []rdf.ID{kb.Res("nosuch")}); got != nil {
-		t.Fatalf("unexpected targets %v", got)
-	}
-}
-
 func pathPattern(kb *rdf.Store) *Pattern {
 	return &Pattern{
 		Nodes: []Node{
@@ -92,7 +79,7 @@ func pathPattern(kb *rdf.Store) *Pattern {
 func TestEvaluateWithPathEdge(t *testing.T) {
 	kb := pathKB()
 	p := pathPattern(kb)
-	m := Evaluate(p, kb, []string{"Pirlo", "Italy"}, similarity.DefaultThreshold)
+	m := EvaluateWith(p, kb, kb, []string{"Pirlo", "Italy"}, similarity.DefaultThreshold)
 	if !m.Full {
 		t.Fatalf("path-edge pattern should fully match: %+v", m)
 	}
@@ -100,15 +87,15 @@ func TestEvaluateWithPathEdge(t *testing.T) {
 		t.Fatalf("PathOK = %v", m.PathOK)
 	}
 	// Wrong country: path condition fails, nodes still hold.
-	m2 := Evaluate(p, kb, []string{"Pirlo", "Spain"}, similarity.DefaultThreshold)
+	m2 := EvaluateWith(p, kb, kb, []string{"Pirlo", "Spain"}, similarity.DefaultThreshold)
 	if m2.Full {
 		t.Fatal("wrong country must not fully match")
 	}
 	if m2.PathOK[0] {
 		t.Fatal("path should not hold for Pirlo→Spain")
 	}
-	if !m2.Partial() {
-		t.Fatal("nodes hold, so the match is partial")
+	if !m2.NodeOK[0] || !m2.NodeOK[1] {
+		t.Fatalf("nodes should still hold: %v", m2.NodeOK)
 	}
 }
 
@@ -118,9 +105,6 @@ func TestPathsInStructureHelpers(t *testing.T) {
 	cols := p.Columns()
 	if len(cols) != 2 {
 		t.Fatalf("Columns = %v", cols)
-	}
-	if !p.Connected() {
-		t.Fatal("path edge must connect the graph")
 	}
 	if p.PathEdgeBetween(0, 1) == nil || p.PathEdgeBetween(1, 0) != nil {
 		t.Fatal("PathEdgeBetween broken")

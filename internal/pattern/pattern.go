@@ -102,80 +102,6 @@ func (p *Pattern) EdgeBetween(i, j int) *Edge {
 	return nil
 }
 
-// Connected reports whether the pattern graph is connected (§3.2 assumes
-// table patterns are connected; disconnected components are treated as
-// independent patterns).
-func (p *Pattern) Connected() bool {
-	cols := p.Columns()
-	if len(cols) <= 1 {
-		return true
-	}
-	adj := map[int][]int{}
-	for _, e := range p.Edges {
-		adj[e.From] = append(adj[e.From], e.To)
-		adj[e.To] = append(adj[e.To], e.From)
-	}
-	for _, pe := range p.Paths {
-		adj[pe.From] = append(adj[pe.From], pe.To)
-		adj[pe.To] = append(adj[pe.To], pe.From)
-	}
-	seen := map[int]bool{cols[0]: true}
-	queue := []int{cols[0]}
-	for len(queue) > 0 {
-		c := queue[0]
-		queue = queue[1:]
-		for _, n := range adj[c] {
-			if !seen[n] {
-				seen[n] = true
-				queue = append(queue, n)
-			}
-		}
-	}
-	return len(seen) == len(cols)
-}
-
-// Components splits the pattern into connected components, each a pattern.
-func (p *Pattern) Components() []*Pattern {
-	cols := p.Columns()
-	parent := map[int]int{}
-	var find func(int) int
-	find = func(x int) int {
-		if parent[x] != x {
-			parent[x] = find(parent[x])
-		}
-		return parent[x]
-	}
-	for _, c := range cols {
-		parent[c] = c
-	}
-	for _, e := range p.Edges {
-		parent[find(e.From)] = find(e.To)
-	}
-	byRoot := map[int]*Pattern{}
-	order := []int{}
-	for _, n := range p.Nodes {
-		r := find(n.Column)
-		if byRoot[r] == nil {
-			byRoot[r] = &Pattern{}
-			order = append(order, r)
-		}
-		byRoot[r].Nodes = append(byRoot[r].Nodes, n)
-	}
-	for _, e := range p.Edges {
-		r := find(e.From)
-		if byRoot[r] == nil {
-			byRoot[r] = &Pattern{}
-			order = append(order, r)
-		}
-		byRoot[r].Edges = append(byRoot[r].Edges, e)
-	}
-	out := make([]*Pattern, 0, len(order))
-	for _, r := range order {
-		out = append(out, byRoot[r])
-	}
-	return out
-}
-
 // Render pretty-prints the pattern using KB labels and column names.
 func (p *Pattern) Render(kb *rdf.Store, columns []string) string {
 	colName := func(c int) string {
@@ -295,31 +221,6 @@ type Match struct {
 	Assignment map[int]rdf.ID
 }
 
-// Partial reports whether the tuple partially matches: at least one node or
-// edge condition holds but not all (§3.2, Example 3).
-func (m *Match) Partial() bool {
-	if m.Full {
-		return false
-	}
-	any := false
-	for _, ok := range m.NodeOK {
-		if ok {
-			any = true
-		}
-	}
-	for _, ok := range m.EdgeOK {
-		if ok {
-			any = true
-		}
-	}
-	for _, ok := range m.PathOK {
-		if ok {
-			any = true
-		}
-	}
-	return any
-}
-
 // matchBand keeps only resource matches scoring within this margin of a
 // cell's best match: an exact match suppresses distant fuzzy homonyms
 // ("FC Springfield" must not satisfy conditions meant for "Springfield"),
@@ -334,15 +235,10 @@ type LabelSource interface {
 	MatchLabel(value string, threshold float64) []rdf.LabelMatch
 }
 
-// Evaluate matches tuple (indexed by column) against p over kb with the
-// given label-similarity threshold.
-func Evaluate(p *Pattern, kb *rdf.Store, tuple []string, threshold float64) *Match {
-	return EvaluateWith(p, kb, kb, tuple, threshold)
-}
-
-// EvaluateWith is Evaluate with label resolution routed through labels —
-// typically a shared memo cache — while type and edge checks still read kb
-// directly. labels must resolve against kb.
+// EvaluateWith matches tuple (indexed by column) against p over kb with
+// the given label-similarity threshold. Label resolution is routed through
+// labels — typically a shared memo cache, or kb itself — while type and
+// edge checks read kb directly. labels must resolve against kb.
 func EvaluateWith(p *Pattern, kb *rdf.Store, labels LabelSource, tuple []string, threshold float64) *Match {
 	m := &Match{
 		Candidates: make(map[int][]rdf.ID, len(p.Nodes)),

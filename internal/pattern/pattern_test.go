@@ -62,12 +62,9 @@ func TestFullMatch(t *testing.T) {
 	kb := kbFixture()
 	p := figure2Pattern(kb)
 	// t1 = (Rossi, Italy, Rome): full match, Fig. 2(b).
-	m := Evaluate(p, kb, []string{"Rossi", "Italy", "Rome"}, similarity.DefaultThreshold)
+	m := EvaluateWith(p, kb, kb, []string{"Rossi", "Italy", "Rome"}, similarity.DefaultThreshold)
 	if !m.Full {
 		t.Fatalf("t1 should fully match: %+v", m)
-	}
-	if m.Partial() {
-		t.Fatal("full match must not report partial")
 	}
 	if len(m.Assignment) != 3 {
 		t.Fatalf("assignment = %v", m.Assignment)
@@ -79,12 +76,9 @@ func TestPartialMatchMissingEdge(t *testing.T) {
 	p := figure2Pattern(kb)
 	// t2 = (Klate, S. Africa, Pretoria): node conditions hold, the
 	// hasCapital edge is missing from the KB — Fig. 2(c).
-	m := Evaluate(p, kb, []string{"Klate", "S. Africa", "Pretoria"}, similarity.DefaultThreshold)
+	m := EvaluateWith(p, kb, kb, []string{"Klate", "S. Africa", "Pretoria"}, similarity.DefaultThreshold)
 	if m.Full {
 		t.Fatal("t2 must not fully match")
-	}
-	if !m.Partial() {
-		t.Fatal("t2 should partially match")
 	}
 	if !m.NodeOK[0] || !m.NodeOK[1] || !m.NodeOK[2] {
 		t.Fatalf("nodes should all validate: %v", m.NodeOK)
@@ -101,7 +95,7 @@ func TestErroneousTuple(t *testing.T) {
 	kb := kbFixture()
 	p := figure2Pattern(kb)
 	// t3 = (Pirlo, Italy, Madrid): Italy→Madrid does not hold — Fig. 2(d).
-	m := Evaluate(p, kb, []string{"Pirlo", "Italy", "Madrid"}, similarity.DefaultThreshold)
+	m := EvaluateWith(p, kb, kb, []string{"Pirlo", "Italy", "Madrid"}, similarity.DefaultThreshold)
 	if m.Full {
 		t.Fatal("t3 must not fully match")
 	}
@@ -114,7 +108,7 @@ func TestFuzzyValueMatch(t *testing.T) {
 	kb := kbFixture()
 	p := figure2Pattern(kb)
 	// Slight misspelling still resolves via the 0.7 threshold.
-	m := Evaluate(p, kb, []string{"Rossi", "Itally", "Rome"}, similarity.DefaultThreshold)
+	m := EvaluateWith(p, kb, kb, []string{"Rossi", "Itally", "Rome"}, similarity.DefaultThreshold)
 	if !m.Full {
 		t.Fatalf("fuzzy match failed: %+v", m)
 	}
@@ -125,7 +119,7 @@ func TestTypeSubsumptionInMatch(t *testing.T) {
 	city := kb.Res("y:city")
 	p := &Pattern{Nodes: []Node{{Column: 0, Type: city}}}
 	// Rome has asserted type capital ⊑ city: condition 2's subclassOf case.
-	m := Evaluate(p, kb, []string{"Rome"}, similarity.DefaultThreshold)
+	m := EvaluateWith(p, kb, kb, []string{"Rome"}, similarity.DefaultThreshold)
 	if !m.Full {
 		t.Fatal("capital instance should satisfy city node")
 	}
@@ -141,7 +135,7 @@ func TestSubPropertyInEdge(t *testing.T) {
 		Edges: []Edge{{From: 0, To: 1, Prop: kb.Res("y:locatedIn")}},
 	}
 	// hasCapital ⊑ locatedIn satisfies condition 3's subpropertyOf case.
-	m := Evaluate(p, kb, []string{"Italy", "Rome"}, similarity.DefaultThreshold)
+	m := EvaluateWith(p, kb, kb, []string{"Italy", "Rome"}, similarity.DefaultThreshold)
 	if !m.Full {
 		t.Fatal("sub-property edge should satisfy pattern")
 	}
@@ -156,11 +150,11 @@ func TestUntypedLiteralNode(t *testing.T) {
 		},
 		Edges: []Edge{{From: 0, To: 1, Prop: kb.Res("y:height")}},
 	}
-	m := Evaluate(p, kb, []string{"Rossi", "1.78"}, similarity.DefaultThreshold)
+	m := EvaluateWith(p, kb, kb, []string{"Rossi", "1.78"}, similarity.DefaultThreshold)
 	if !m.Full {
 		t.Fatalf("literal edge should match: %+v", m)
 	}
-	m = Evaluate(p, kb, []string{"Rossi", "9.99"}, similarity.DefaultThreshold)
+	m = EvaluateWith(p, kb, kb, []string{"Rossi", "9.99"}, similarity.DefaultThreshold)
 	if m.Full {
 		t.Fatal("wrong literal must not match")
 	}
@@ -174,7 +168,7 @@ func TestConsistentAssignmentRequired(t *testing.T) {
 	kb.AddFact(rdf.IRI("y:RossiRacer"), rdf.IRI(rdf.IRIType), rdf.IRI("y:person"))
 	kb.AddFact(rdf.IRI("y:RossiRacer"), rdf.IRI(rdf.IRILabel), rdf.Lit("Rossi"))
 	p := figure2Pattern(kb)
-	m := Evaluate(p, kb, []string{"Rossi", "Italy", "Rome"}, similarity.DefaultThreshold)
+	m := EvaluateWith(p, kb, kb, []string{"Rossi", "Italy", "Rome"}, similarity.DefaultThreshold)
 	if !m.Full {
 		t.Fatal("ambiguous label should still match via the consistent resource")
 	}
@@ -199,31 +193,6 @@ func TestColumnsAndAccessors(t *testing.T) {
 	}
 	if p.EdgeBetween(1, 2) == nil || p.EdgeBetween(2, 1) != nil {
 		t.Fatal("EdgeBetween direction broken")
-	}
-}
-
-func TestConnectedAndComponents(t *testing.T) {
-	kb := kbFixture()
-	p := figure2Pattern(kb)
-	if !p.Connected() {
-		t.Fatal("figure-2 pattern is connected")
-	}
-	// Add an isolated node: now two components.
-	p2 := p.Clone()
-	p2.Nodes = append(p2.Nodes, Node{Column: 5, Type: kb.Res("y:city")})
-	if p2.Connected() {
-		t.Fatal("pattern with isolated node is not connected")
-	}
-	comps := p2.Components()
-	if len(comps) != 2 {
-		t.Fatalf("components = %d, want 2", len(comps))
-	}
-	total := 0
-	for _, c := range comps {
-		total += len(c.Nodes)
-	}
-	if total != len(p2.Nodes) {
-		t.Fatal("components lost nodes")
 	}
 }
 

@@ -128,7 +128,9 @@ func (o oracleTransport) Deliver(q crowd.Question, w crowd.Worker, _ func() int)
 // newOracleCrowd is the harness's stock crowd: five perfect workers whose
 // answers come straight from each question's ground truth.
 func newOracleCrowd() *crowd.Crowd {
-	return crowd.Perfect(5, crowd.WithTransport(oracleTransport{}))
+	cr := crowd.Perfect(5)
+	cr.SetTransport(oracleTransport{})
+	return cr
 }
 
 // Run cleans the scenario's dirty table under one configuration and
@@ -166,7 +168,8 @@ func (s *Scenario) NewCleaner(cfg RunConfig, incremental bool, preAdds []katara.
 			TransientRate: 0.12,
 		})}
 	}
-	cr := crowd.Perfect(5, crowd.WithTransport(transport))
+	cr := crowd.Perfect(5)
+	cr.SetTransport(transport)
 
 	opts := katara.Options{
 		Seed:    1,

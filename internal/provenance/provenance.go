@@ -43,8 +43,8 @@ type ValidationStep struct {
 	Degraded  bool    `json:"degraded,omitempty"`
 }
 
-// Vote is one worker's answer to a question, with its voting weight (1 under
-// plain majority, log-odds reliability under weighted voting).
+// Vote is one worker's answer to a question, with its voting weight (1: the
+// crowd decides by plain majority).
 type Vote struct {
 	Worker int     `json:"worker"`
 	Option int     `json:"option"`
@@ -177,16 +177,6 @@ func (r *Recorder) SetRowUnits(units []int, dedup bool) {
 	}
 	r.rowUnit = append([]int(nil), units...)
 	r.dedup = dedup
-}
-
-// UnitOf returns row's decision unit (identity when no mapping installed).
-func (r *Recorder) UnitOf(row int) int {
-	if r == nil {
-		return row
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.unitOfLocked(row)
 }
 
 func (r *Recorder) unitOfLocked(row int) int {

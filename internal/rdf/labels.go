@@ -45,19 +45,6 @@ func DisplayName(iri string) string {
 	return strings.TrimSpace(iri)
 }
 
-// ResourcesLabeled returns the resources whose normalised label equals the
-// normalised value. Shared slice; read-only.
-func (s *Store) ResourcesLabeled(value string) []ID {
-	return s.labelIndex[similarity.Normalize(value)]
-}
-
-// ResourcesLabeledNorm is ResourcesLabeled for an already-normalised value —
-// for callers that hold a Normalize result (the resolve cache keys on one)
-// and must not recompute it per probe. Shared slice; read-only.
-func (s *Store) ResourcesLabeledNorm(norm string) []ID {
-	return s.labelIndex[norm]
-}
-
 // LabelMatch is a fuzzy label resolution hit.
 type LabelMatch struct {
 	Resource ID

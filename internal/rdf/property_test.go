@@ -3,6 +3,7 @@ package rdf
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -123,7 +124,7 @@ func TestCloneEquivalenceProperty(t *testing.T) {
 			a := c.LookupTerm(s.Term(tr.S))
 			p := c.LookupTerm(s.Term(tr.P))
 			b := c.LookupTerm(s.Term(tr.O))
-			if a == NoID || p == NoID || b == NoID || !c.Has(a, p, b) {
+			if a == NoID || p == NoID || b == NoID || !slices.Contains(c.Objects(a, p), b) {
 				t.Fatalf("seed %d: clone lost a triple", seed)
 			}
 		})
@@ -186,7 +187,7 @@ func TestMatchLabelAgreesWithExact(t *testing.T) {
 	// score 1, ranked first among its score class.
 	for i := 0; i < 60; i++ {
 		label := "entity " + itoa(i)
-		exact := s.ResourcesLabeled(label)
+		exact := s.Subjects(s.LabelID, s.LookupTerm(Lit(label)))
 		if len(exact) == 0 {
 			continue
 		}

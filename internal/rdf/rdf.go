@@ -88,10 +88,9 @@ type Store struct {
 	superProp  map[ID][]ID
 	subProp    map[ID][]ID
 
-	// Label index: normalised label -> resource IDs, plus fuzzy index.
-	labelIndex map[string][]ID
-	fuzzy      *similarity.Index
-	fuzzyIDs   []ID // fuzzy index slot -> resource ID
+	// Label index: fuzzy index over label literals.
+	fuzzy    *similarity.Index
+	fuzzyIDs []ID // fuzzy index slot -> resource ID
 
 	// Bounded log of recently indexed labels (normalised), so layered caches
 	// can invalidate per label instead of flushing wholesale. labelLog[i]
@@ -113,12 +112,11 @@ type pair struct{ p, o ID }
 // New returns an empty store with the RDFS vocabulary interned.
 func New() *Store {
 	s := &Store{
-		lookup:     make(map[Term]ID),
-		pso:        make(map[ID]map[ID][]ID),
-		pos:        make(map[ID]map[ID][]ID),
-		sp:         make(map[ID][]pair),
-		labelIndex: make(map[string][]ID),
-		fuzzy:      similarity.NewIndex(),
+		lookup: make(map[Term]ID),
+		pso:    make(map[ID]map[ID][]ID),
+		pos:    make(map[ID]map[ID][]ID),
+		sp:     make(map[ID][]pair),
+		fuzzy:  similarity.NewIndex(),
 	}
 	s.TypeID = s.Intern(IRI(IRIType))
 	s.LabelID = s.Intern(IRI(IRILabel))
@@ -157,9 +155,6 @@ func (s *Store) Term(id ID) Term { return s.terms[id] }
 
 // IsLiteral reports whether id names a literal.
 func (s *Store) IsLiteral(id ID) bool { return s.terms[id].Kind == Literal }
-
-// NumTerms returns the number of interned terms.
-func (s *Store) NumTerms() int { return len(s.terms) }
 
 // NumTriples returns the number of distinct triples added.
 func (s *Store) NumTriples() int { return s.ntriples }
@@ -209,7 +204,6 @@ func (s *Store) Add(sub, pred, obj ID) bool {
 	case s.LabelID:
 		if s.IsLiteral(obj) {
 			norm := similarity.Normalize(s.terms[obj].Value)
-			s.labelIndex[norm] = append(s.labelIndex[norm], sub)
 			s.fuzzy.Add(s.terms[obj].Value)
 			s.fuzzyIDs = append(s.fuzzyIDs, sub)
 			if len(s.labelLog) >= maxLabelLog {
@@ -246,13 +240,6 @@ func (s *Store) Subjects(pred, obj ID) []ID {
 	return nil
 }
 
-// Has reports whether the triple (sub, pred, obj) is present.
-func (s *Store) Has(sub, pred, obj ID) bool {
-	objs := s.Objects(sub, pred)
-	i := sort.Search(len(objs), func(i int) bool { return objs[i] >= obj })
-	return i < len(objs) && objs[i] == obj
-}
-
 // PredicatesBetween returns the predicates p such that (sub, p, obj) holds.
 func (s *Store) PredicatesBetween(sub, obj ID) []ID {
 	var out []ID
@@ -260,16 +247,6 @@ func (s *Store) PredicatesBetween(sub, obj ID) []ID {
 		if po.o == obj {
 			out = append(out, po.p)
 		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return dedupe(out)
-}
-
-// PredicatesOf returns the distinct predicates with sub as subject.
-func (s *Store) PredicatesOf(sub ID) []ID {
-	var out []ID
-	for _, po := range s.sp[sub] {
-		out = append(out, po.p)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return dedupe(out)
@@ -355,7 +332,6 @@ func (s *Store) CloneExact() *Store {
 		SubPropertyOfID: s.SubPropertyOfID,
 		gen:             s.gen,
 		labelGen:        s.labelGen,
-		labelIndex:      make(map[string][]ID, len(s.labelIndex)),
 		fuzzy:           s.fuzzy.Clone(),
 		fuzzyIDs:        append([]ID(nil), s.fuzzyIDs...),
 		labelLog:        append([]string(nil), s.labelLog...),
@@ -366,9 +342,6 @@ func (s *Store) CloneExact() *Store {
 	}
 	for su, pairs := range s.sp {
 		out.sp[su] = append([]pair(nil), pairs...)
-	}
-	for norm, ids := range s.labelIndex {
-		out.labelIndex[norm] = append([]ID(nil), ids...)
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package rdf
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -89,11 +90,11 @@ func TestObjectsSubjects(t *testing.T) {
 	if subs := s.Subjects(hasCapital, rome); len(subs) != 1 || subs[0] != italy {
 		t.Fatalf("Subjects(hasCapital, Rome) = %v", subs)
 	}
-	if !s.Has(italy, hasCapital, rome) {
+	if !slices.Contains(s.Objects(italy, hasCapital), rome) {
 		t.Fatal("Has(Italy, hasCapital, Rome) = false")
 	}
 	madrid := id(t, s, "y:Madrid")
-	if s.Has(italy, hasCapital, madrid) {
+	if slices.Contains(s.Objects(italy, hasCapital), madrid) {
 		t.Fatal("Has(Italy, hasCapital, Madrid) = true")
 	}
 }
@@ -216,10 +217,10 @@ func TestLabels(t *testing.T) {
 	if got := s.LabelOf(rome); got != "Rome" {
 		t.Fatalf("LabelOf(Rome) = %q", got)
 	}
-	if rs := s.ResourcesLabeled("rome"); len(rs) != 1 || rs[0] != rome {
-		t.Fatalf("ResourcesLabeled(rome) = %v", rs)
+	if rs := s.MatchLabel("rome", 1); len(rs) != 1 || rs[0].Resource != rome {
+		t.Fatalf("MatchLabel(rome, 1) = %v", rs)
 	}
-	if rs := s.ResourcesLabeled("ROME  "); len(rs) != 1 {
+	if rs := s.MatchLabel("ROME  ", 1); len(rs) != 1 || rs[0].Resource != rome {
 		t.Fatalf("normalised lookup failed: %v", rs)
 	}
 }
@@ -265,10 +266,6 @@ func TestDescriptionAndPredicates(t *testing.T) {
 	if len(desc) != 4 { // type, label, nationality, height
 		t.Fatalf("Description(Rossi) = %d triples, want 4", len(desc))
 	}
-	preds := s.PredicatesOf(rossi)
-	if len(preds) != 4 {
-		t.Fatalf("PredicatesOf(Rossi) = %v", preds)
-	}
 }
 
 func TestForEachTripleCount(t *testing.T) {
@@ -309,7 +306,7 @@ func TestRandomizedIndexConsistency(t *testing.T) {
 		t.Fatalf("NumTriples = %d, want %d", s.NumTriples(), len(all))
 	}
 	for _, x := range all {
-		if !s.Has(x.a, x.p, x.b) {
+		if !slices.Contains(s.Objects(x.a, x.p), x.b) {
 			t.Fatalf("lost triple %v", x)
 		}
 		found := false

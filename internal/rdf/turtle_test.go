@@ -1,6 +1,7 @@
 package rdf
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -33,7 +34,7 @@ ex:Rome a ex:Capital ;
 	}
 	rome := s.LookupTerm(IRI("http://example.org/Rome"))
 	capProp := s.LookupTerm(IRI("http://example.org/capital"))
-	if rome == NoID || capProp == NoID || !s.Has(italy, capProp, rome) {
+	if rome == NoID || capProp == NoID || !slices.Contains(s.Objects(italy, capProp), rome) {
 		t.Fatal("capital fact missing")
 	}
 	country := s.LookupTerm(IRI("http://example.org/Country"))
@@ -149,7 +150,7 @@ y:Rome a y:capital ; rdfs:label "Rome" .
 		s2 := b.LookupTerm(a.Term(tr.S))
 		p2 := b.LookupTerm(a.Term(tr.P))
 		o2 := b.LookupTerm(a.Term(tr.O))
-		if s2 == NoID || p2 == NoID || o2 == NoID || !b.Has(s2, p2, o2) {
+		if s2 == NoID || p2 == NoID || o2 == NoID || !slices.Contains(b.Objects(s2, p2), o2) {
 			t.Fatalf("triple mismatch: %v %v %v",
 				a.Term(tr.S), a.Term(tr.P), a.Term(tr.O))
 		}

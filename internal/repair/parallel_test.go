@@ -55,7 +55,7 @@ func TestParallelBuildIndexMatchesSerial(t *testing.T) {
 			par := BuildIndex(kb, pat, Options{MaxGraphs: maxGraphs, Workers: workers})
 			if !reflect.DeepEqual(serial.Graphs, par.Graphs) {
 				t.Fatalf("maxGraphs=%d workers=%d: %d graphs vs serial %d, or different order",
-					maxGraphs, workers, par.NumGraphs(), serial.NumGraphs())
+					maxGraphs, workers, len(par.Graphs), len(serial.Graphs))
 			}
 			if !reflect.DeepEqual(serial.lists, par.lists) {
 				t.Fatalf("maxGraphs=%d workers=%d: inverted lists differ", maxGraphs, workers)
@@ -68,8 +68,8 @@ func TestBuildIndexTelemetryCountsGraphs(t *testing.T) {
 	kb, pat := figure5KB()
 	tel := telemetry.New()
 	ix := BuildIndex(kb, pat, Options{Telemetry: tel})
-	if got := tel.Get(telemetry.GraphsEnumerated); got != int64(ix.NumGraphs()) {
-		t.Fatalf("GraphsEnumerated = %d, want %d", got, ix.NumGraphs())
+	if got := tel.Get(telemetry.GraphsEnumerated); got != int64(len(ix.Graphs)) {
+		t.Fatalf("GraphsEnumerated = %d, want %d", got, len(ix.Graphs))
 	}
 	ix.TopK([]string{"Pirlo", "Italy", "Madrid", "Juve", "Italian", "Flero"}, 2)
 	if got := tel.Get(telemetry.RepairsGenerated); got != 2 {
@@ -105,7 +105,7 @@ func TestTopKDifferentialRandomized(t *testing.T) {
 		}
 		for trial := 0; trial < 25; trial++ {
 			tup := []string{cell(), cell(), cell()}
-			k := 1 + rng.Intn(ix.NumGraphs()+2)
+			k := 1 + rng.Intn(len(ix.Graphs)+2)
 			fast := ix.TopK(tup, k)
 			slow := ix.TopKNaive(tup, k)
 			if len(fast) != len(slow) {

@@ -105,9 +105,6 @@ func BuildIndex(kb *rdf.Store, p *pattern.Pattern, opts Options) *Index {
 	return ix
 }
 
-// NumGraphs returns the number of indexed instance graphs.
-func (ix *Index) NumGraphs() int { return len(ix.Graphs) }
-
 // WithTelemetry returns a shallow view of the index whose retrieval
 // telemetry (repair-topk histogram/spans, RepairsGenerated) lands in tel
 // instead of the pipeline the index was built with. Graphs and inverted

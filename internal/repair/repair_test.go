@@ -70,8 +70,8 @@ func figure5KB() (*rdf.Store, *pattern.Pattern) {
 func TestEnumerateInstanceGraphs(t *testing.T) {
 	kb, p := figure5KB()
 	ix := BuildIndex(kb, p, Options{})
-	if ix.NumGraphs() != 2 {
-		t.Fatalf("found %d instance graphs, want 2", ix.NumGraphs())
+	if len(ix.Graphs) != 2 {
+		t.Fatalf("found %d instance graphs, want 2", len(ix.Graphs))
 	}
 	for _, g := range ix.Graphs {
 		if len(g.Resource) != 6 {
@@ -169,8 +169,8 @@ func TestWeightedCosts(t *testing.T) {
 func TestMaxGraphsCap(t *testing.T) {
 	kb, p := figure5KB()
 	ix := BuildIndex(kb, p, Options{MaxGraphs: 1})
-	if ix.NumGraphs() != 1 {
-		t.Fatalf("cap ignored: %d graphs", ix.NumGraphs())
+	if len(ix.Graphs) != 1 {
+		t.Fatalf("cap ignored: %d graphs", len(ix.Graphs))
 	}
 }
 
@@ -193,8 +193,8 @@ func TestSubPropertyEdgeEnumeration(t *testing.T) {
 		Edges: []pattern.Edge{{From: 0, To: 1, Prop: kb.Res("locatedIn")}},
 	}
 	ix := BuildIndex(kb, p, Options{})
-	if ix.NumGraphs() != 1 {
-		t.Fatalf("sub-property instance graph missed: %d graphs", ix.NumGraphs())
+	if len(ix.Graphs) != 1 {
+		t.Fatalf("sub-property instance graph missed: %d graphs", len(ix.Graphs))
 	}
 }
 
@@ -213,8 +213,8 @@ func TestUntypedLiteralColumn(t *testing.T) {
 		Edges: []pattern.Edge{{From: 0, To: 1, Prop: kb.Res("height")}},
 	}
 	ix := BuildIndex(kb, p, Options{})
-	if ix.NumGraphs() != 1 {
-		t.Fatalf("literal-node graph missed: %d", ix.NumGraphs())
+	if len(ix.Graphs) != 1 {
+		t.Fatalf("literal-node graph missed: %d", len(ix.Graphs))
 	}
 	reps := ix.TopK([]string{"Rossi", "1.93"}, 1)
 	if len(reps) != 1 || reps[0].Cost != 1 || reps[0].Changes[0].To != "1.78" {
@@ -249,8 +249,8 @@ func TestLargerScaleEnumeration(t *testing.T) {
 	}
 	p.Edges = []pattern.Edge{{From: 0, To: 1, Prop: kb.Res("hasCapital")}}
 	ix := BuildIndex(kb, p, Options{})
-	if ix.NumGraphs() != 100 {
-		t.Fatalf("graphs = %d, want 100", ix.NumGraphs())
+	if len(ix.Graphs) != 100 {
+		t.Fatalf("graphs = %d, want 100", len(ix.Graphs))
 	}
 	reps := ix.TopK([]string{"country042", "capital099"}, 3)
 	if len(reps) < 2 || reps[0].Cost != 1 {

@@ -62,10 +62,6 @@ type Cache struct {
 	keysSeen map[string]bool
 
 	hits, misses atomic.Int64
-	// invalidations counts individually evicted memo entries; flushes counts
-	// wholesale memo rebuilds (the fallback when the store's bounded label
-	// log has slid past our generation).
-	invalidations, flushes atomic.Int64
 
 	// tel is the pipeline observing resolver latency for the current run.
 	// The cache outlives individual runs (cmd/kexp shares one across
@@ -91,12 +87,6 @@ func New(kb *rdf.Store, threshold float64) *Cache {
 func (c *Cache) SetTelemetry(tel *telemetry.Pipeline) {
 	c.tel.Store(tel)
 }
-
-// KB returns the underlying store.
-func (c *Cache) KB() *rdf.Store { return c.kb }
-
-// Threshold returns the threshold the memo is keyed for.
-func (c *Cache) Threshold() float64 { return c.threshold }
 
 // MatchLabel implements Source. Calls at the cache's threshold are memoized;
 // calls at any other threshold fall through to the store uncached, so a
@@ -189,7 +179,6 @@ func (c *Cache) sync() {
 	}
 	labels, ok := c.kb.LabelsSince(cur)
 	if !ok {
-		c.flushes.Add(1)
 		for i := range c.shards {
 			sh := &c.shards[i]
 			sh.mu.Lock()
@@ -227,36 +216,13 @@ func (c *Cache) invalidateLabel(norm string) {
 func (c *Cache) evict(key string) {
 	sh := &c.shards[fnvMask(key)]
 	sh.mu.Lock()
-	if _, ok := sh.m[key]; ok {
-		delete(sh.m, key)
-		c.invalidations.Add(1)
-	}
+	delete(sh.m, key)
 	sh.mu.Unlock()
 }
 
 // Stats returns the cumulative hit and miss counts.
 func (c *Cache) Stats() (hits, misses int64) {
 	return c.hits.Load(), c.misses.Load()
-}
-
-// SyncStats returns the cumulative per-label invalidation count (memo
-// entries individually evicted) and wholesale flush count (the label-log
-// truncation fallback) — the observability hooks the invalidation
-// regression tests pin.
-func (c *Cache) SyncStats() (invalidations, flushes int64) {
-	return c.invalidations.Load(), c.flushes.Load()
-}
-
-// Len returns the number of memoized values.
-func (c *Cache) Len() int {
-	n := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.RLock()
-		n += len(sh.m)
-		sh.mu.RUnlock()
-	}
-	return n
 }
 
 // fnvMask hashes key (FNV-1a) and masks it down to a shard index.

@@ -47,10 +47,10 @@ func FuzzSimilarityLookup(f *testing.F) {
 		if again := Normalize(n); again != n {
 			t.Fatalf("Normalize not idempotent: %q -> %q -> %q", q, n, again)
 		}
-		hits := ix.Lookup(q, DefaultThreshold)
+		hits := ix.LookupNormalized(Normalize(q), DefaultThreshold)
 		seen := map[int32]bool{}
 		for i, h := range hits {
-			if h.ID < 0 || int(h.ID) >= ix.Len() {
+			if h.ID < 0 || int(h.ID) >= len(ix.values) {
 				t.Fatalf("hit %d: id %d out of range", i, h.ID)
 			}
 			if seen[h.ID] {
@@ -73,8 +73,8 @@ func FuzzSimilarityLookup(f *testing.F) {
 				}
 			}
 		}
-		if again := ix.Lookup(q, DefaultThreshold); !reflect.DeepEqual(hits, again) {
-			t.Fatalf("Lookup(%q) is not deterministic:\n%v\nvs\n%v", q, hits, again)
+		if again := ix.LookupNormalized(Normalize(q), DefaultThreshold); !reflect.DeepEqual(hits, again) {
+			t.Fatalf("LookupNormalized(%q) is not deterministic:\n%v\nvs\n%v", q, hits, again)
 		}
 	})
 }

@@ -98,22 +98,6 @@ func (ix *Index) Add(s string) int32 {
 	return id
 }
 
-// Len returns the number of indexed strings.
-func (ix *Index) Len() int { return len(ix.values) }
-
-// Grow reserves capacity for n additional strings, so a burst of Adds (an
-// incremental append extending the index in place) does not repeatedly
-// reallocate the id-indexed arrays. Growth keeps the single-writer contract:
-// Add calls must still be serialised with each other and with lookups;
-// pre-reserving only makes the quiescent windows between them cheap.
-func (ix *Index) Grow(n int) {
-	if n <= 0 {
-		return
-	}
-	ix.values = append(make([]string, 0, len(ix.values)+n), ix.values...)
-	ix.gramN = append(make([]int32, 0, len(ix.gramN)+n), ix.gramN...)
-}
-
 // Clone returns a deep copy of the index with identical ids — lookups on the
 // clone return exactly the same candidates as on the original. Used by
 // rdf.Store.CloneExact to snapshot the fuzzy label index.
@@ -139,21 +123,15 @@ type Candidate struct {
 	Score float64
 }
 
-// Lookup returns ids whose strings match q at or above threshold, best
-// first; ties break by ascending id, so the order is deterministic. Exact
-// (post-normalisation) matches are always returned with score 1.
+// LookupNormalized returns ids whose strings match the already-normalised
+// query n at or above threshold, best first; ties break by ascending id, so
+// the order is deterministic. Exact matches are always returned with score
+// 1. Callers hold a Normalize result (the resolve cache keys on it) and do
+// not pay for recomputing it; Normalize is idempotent (pinned by
+// FuzzSimilarityLookup).
 //
 // Safe for concurrent use while the index is quiescent (no Add in flight),
 // matching the store-wide single-writer contract.
-func (ix *Index) Lookup(q string, threshold float64) []Candidate {
-	return ix.LookupNormalized(Normalize(q), threshold)
-}
-
-// LookupNormalized is Lookup for a query that is already normalised —
-// the entry point for callers that hold a Normalize result (the resolve
-// cache keys on it) and must not pay for recomputing it. Normalize is
-// idempotent (pinned by FuzzSimilarityLookup), so
-// Lookup(q) ≡ LookupNormalized(Normalize(q)) exactly.
 func (ix *Index) LookupNormalized(n string, threshold float64) []Candidate {
 	return ix.lookupNormalized(n, threshold, false)
 }

@@ -9,11 +9,11 @@ func TestLookupEmptyQuery(t *testing.T) {
 	ix := NewIndex()
 	ix.Add("Rome")
 	ix.Add("")
-	hits := ix.Lookup("", DefaultThreshold)
+	hits := ix.LookupNormalized(Normalize(""), DefaultThreshold)
 	if len(hits) != 1 || hits[0].ID != 1 || hits[0].Score != 1 {
 		t.Fatalf("empty query should hit only the empty entry exactly, got %v", hits)
 	}
-	if hits := ix.Lookup("   ", DefaultThreshold); len(hits) != 1 || hits[0].ID != 1 {
+	if hits := ix.LookupNormalized(Normalize("   "), DefaultThreshold); len(hits) != 1 || hits[0].ID != 1 {
 		t.Fatalf("whitespace query should normalize to empty, got %v", hits)
 	}
 }
@@ -24,7 +24,7 @@ func TestLookupShortStrings(t *testing.T) {
 	idUS := ix.Add("US")
 	ix.Add("United Kingdom")
 
-	hits := ix.Lookup("UK", DefaultThreshold)
+	hits := ix.LookupNormalized(Normalize("UK"), DefaultThreshold)
 	if len(hits) == 0 || hits[0].ID != idUK || hits[0].Score != 1 {
 		t.Fatalf("2-rune exact lookup failed: %v", hits)
 	}
@@ -35,14 +35,14 @@ func TestLookupShortStrings(t *testing.T) {
 			t.Fatalf("US scored %f, reference says %f", h.Score, Score("UK", "US"))
 		}
 	}
-	if hits := ix.Lookup("UK", 0.75); len(hits) != 1 || hits[0].ID != idUK {
+	if hits := ix.LookupNormalized(Normalize("UK"), 0.75); len(hits) != 1 || hits[0].ID != idUK {
 		t.Fatalf("above the boundary only the exact entry should match: %v", hits)
 	}
-	if hits := ix.Lookup("a", DefaultThreshold); len(hits) != 0 {
+	if hits := ix.LookupNormalized(Normalize("a"), DefaultThreshold); len(hits) != 0 {
 		t.Fatalf("1-rune query with no entry matched %v", hits)
 	}
 	id := ix.Add("a")
-	if hits := ix.Lookup("A", DefaultThreshold); len(hits) != 1 || hits[0].ID != id {
+	if hits := ix.LookupNormalized(Normalize("A"), DefaultThreshold); len(hits) != 1 || hits[0].ID != id {
 		t.Fatalf("1-rune exact lookup failed: %v", hits)
 	}
 }
@@ -50,17 +50,17 @@ func TestLookupShortStrings(t *testing.T) {
 func TestLookupUnicodeNormalization(t *testing.T) {
 	ix := NewIndex()
 	id := ix.Add("Côte d'Ivoire")
-	hits := ix.Lookup("CÔTE D'IVOIRE", DefaultThreshold)
+	hits := ix.LookupNormalized(Normalize("CÔTE D'IVOIRE"), DefaultThreshold)
 	if len(hits) == 0 || hits[0].ID != id || hits[0].Score != 1 {
 		t.Fatalf("case-folded unicode lookup failed: %v", hits)
 	}
-	hits = ix.Lookup("Côte dIvoire", DefaultThreshold)
+	hits = ix.LookupNormalized(Normalize("Côte dIvoire"), DefaultThreshold)
 	if len(hits) == 0 || hits[0].ID != id {
 		t.Fatalf("punctuation-stripped unicode lookup failed: %v", hits)
 	}
 	// Multi-byte runes must round-trip through the byte-encoded trigrams:
 	// a fuzzy (non-exact) query still finds the entry.
-	hits = ix.Lookup("Côte d'Ivoir", DefaultThreshold)
+	hits = ix.LookupNormalized(Normalize("Côte d'Ivoir"), DefaultThreshold)
 	if len(hits) == 0 || hits[0].ID != id {
 		t.Fatalf("fuzzy unicode lookup failed: %v", hits)
 	}
@@ -76,7 +76,7 @@ func TestLookupTieOrderDeterministic(t *testing.T) {
 	ix.Add("Johannesburgh")
 	ix.Add("Johannesburg")
 
-	first := ix.Lookup("Johannesburg", DefaultThreshold)
+	first := ix.LookupNormalized(Normalize("Johannesburg"), DefaultThreshold)
 	if len(first) != 4 {
 		t.Fatalf("expected 4 hits, got %v", first)
 	}
@@ -89,7 +89,7 @@ func TestLookupTieOrderDeterministic(t *testing.T) {
 		}
 	}
 	for round := 0; round < 10; round++ {
-		if again := ix.Lookup("Johannesburg", DefaultThreshold); !reflect.DeepEqual(first, again) {
+		if again := ix.LookupNormalized(Normalize("Johannesburg"), DefaultThreshold); !reflect.DeepEqual(first, again) {
 			t.Fatalf("lookup not deterministic: %v vs %v", first, again)
 		}
 	}
@@ -103,12 +103,12 @@ func TestLookupAllocationLean(t *testing.T) {
 	for _, s := range []string{"Rome", "Madrid", "Paris", "Berlin", "Lisbon", "Vienna"} {
 		ix.Add(s)
 	}
-	ix.Lookup("Rome", DefaultThreshold) // warm the scratch pool
+	ix.LookupNormalized(Normalize("Rome"), DefaultThreshold) // warm the scratch pool
 	// A miss touches the whole filter path (padding, trigram encoding,
 	// posting scans) but produces no output; the only per-call allocation
 	// left is Normalize building the query's canonical form.
 	allocs := testing.AllocsPerRun(100, func() {
-		ix.Lookup("Zanzibar", DefaultThreshold)
+		ix.LookupNormalized(Normalize("Zanzibar"), DefaultThreshold)
 	})
 	if allocs > 1 {
 		t.Errorf("miss lookup allocates %.1f per op, want <= 1 (query Normalize)", allocs)
@@ -121,11 +121,11 @@ func TestAddLookupSharedDedupe(t *testing.T) {
 	// or the Jaccard term drifts from set semantics.
 	ix := NewIndex()
 	id := ix.Add("banana")
-	hits := ix.Lookup("banana", DefaultThreshold)
+	hits := ix.LookupNormalized(Normalize("banana"), DefaultThreshold)
 	if len(hits) != 1 || hits[0].ID != id || hits[0].Score != 1 {
 		t.Fatalf("self lookup: %v", hits)
 	}
-	hits = ix.Lookup("bananas", 0.5)
+	hits = ix.LookupNormalized(Normalize("bananas"), 0.5)
 	if len(hits) != 1 || hits[0].ID != id {
 		t.Fatalf("fuzzy lookup: %v", hits)
 	}
@@ -144,7 +144,7 @@ func TestLookupScoresMatchReference(t *testing.T) {
 		ix.Add(e)
 	}
 	for _, q := range []string{"rome", "roman", "MADRID", "romanía"} {
-		for _, h := range ix.Lookup(q, 0.3) {
+		for _, h := range ix.LookupNormalized(Normalize(q), 0.3) {
 			if want := Score(q, entries[h.ID]); h.Score != want {
 				t.Errorf("Lookup(%q) scored %q as %f, reference Score says %f",
 					q, entries[h.ID], h.Score, want)

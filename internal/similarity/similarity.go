@@ -220,12 +220,6 @@ func scoreNormalized(na, nb string) float64 {
 	return s
 }
 
-// Match reports whether a and b are similar at the default threshold,
-// mirroring the paper's `t[A] ≈ label` predicate.
-func Match(a, b string) bool {
-	return Score(a, b) >= DefaultThreshold
-}
-
 func min3(a, b, c int) int {
 	if b < a {
 		a = b

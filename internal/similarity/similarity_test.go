@@ -109,8 +109,8 @@ func TestScoreAndMatch(t *testing.T) {
 		{"Juventus", "Juventuss"},
 	}
 	for _, p := range yes {
-		if !Match(p[0], p[1]) {
-			t.Errorf("expected Match(%q,%q)", p[0], p[1])
+		if Score(p[0], p[1]) < DefaultThreshold {
+			t.Errorf("expected %q and %q to match", p[0], p[1])
 		}
 	}
 	no := [][2]string{
@@ -119,8 +119,8 @@ func TestScoreAndMatch(t *testing.T) {
 		{"Pretoria", "Cape Town"},
 	}
 	for _, p := range no {
-		if Match(p[0], p[1]) {
-			t.Errorf("expected no Match(%q,%q)", p[0], p[1])
+		if Score(p[0], p[1]) >= DefaultThreshold {
+			t.Errorf("expected %q and %q not to match", p[0], p[1])
 		}
 	}
 }
@@ -147,7 +147,7 @@ func TestIndexExactLookup(t *testing.T) {
 	idRome := ix.Add("Rome")
 	ix.Add("Madrid")
 	idRome2 := ix.Add("rome")
-	hits := ix.Lookup("ROME", DefaultThreshold)
+	hits := ix.LookupNormalized(Normalize("ROME"), DefaultThreshold)
 	if len(hits) < 2 {
 		t.Fatalf("expected both rome entries, got %v", hits)
 	}
@@ -167,7 +167,7 @@ func TestIndexFuzzyLookup(t *testing.T) {
 	ix := NewIndex()
 	id := ix.Add("Pretoria")
 	ix.Add("Cape Town")
-	hits := ix.Lookup("Pretorria", DefaultThreshold)
+	hits := ix.LookupNormalized(Normalize("Pretorria"), DefaultThreshold)
 	if len(hits) == 0 || hits[0].ID != id {
 		t.Fatalf("fuzzy lookup failed: %v", hits)
 	}
@@ -181,7 +181,7 @@ func TestIndexNoFalsePositives(t *testing.T) {
 	ix.Add("Italy")
 	ix.Add("Spain")
 	ix.Add("France")
-	if hits := ix.Lookup("Zimbabwe", DefaultThreshold); len(hits) != 0 {
+	if hits := ix.LookupNormalized(Normalize("Zimbabwe"), DefaultThreshold); len(hits) != 0 {
 		t.Errorf("unexpected hits: %v", hits)
 	}
 }
@@ -191,7 +191,7 @@ func TestIndexOrdering(t *testing.T) {
 	ix.Add("Johannesburg")
 	ix.Add("Johannesbur")
 	ix.Add("Johannesburg")
-	hits := ix.Lookup("Johannesburg", DefaultThreshold)
+	hits := ix.LookupNormalized(Normalize("Johannesburg"), DefaultThreshold)
 	for i := 1; i < len(hits); i++ {
 		if hits[i].Score > hits[i-1].Score {
 			t.Fatalf("hits not sorted by score: %v", hits)
@@ -213,7 +213,7 @@ func TestIndexLookupMatchesBruteForce(t *testing.T) {
 		ix.Add(w)
 	}
 	for _, q := range words {
-		hits := ix.Lookup(q, 0.85)
+		hits := ix.LookupNormalized(Normalize(q), 0.85)
 		got := map[int32]bool{}
 		for _, h := range hits {
 			got[h.ID] = true
@@ -241,6 +241,6 @@ func BenchmarkIndexLookup(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix.Lookup("entity xxxxsuffix", DefaultThreshold)
+		ix.LookupNormalized(Normalize("entity xxxxsuffix"), DefaultThreshold)
 	}
 }

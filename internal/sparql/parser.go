@@ -23,15 +23,6 @@ func Parse(src string) (*Query, error) {
 	return q, nil
 }
 
-// MustParse is Parse for statically known queries; it panics on error.
-func MustParse(src string) *Query {
-	q, err := Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	return q
-}
-
 type parser struct {
 	toks []token
 	i    int

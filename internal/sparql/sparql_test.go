@@ -292,9 +292,12 @@ func TestDeterministicOrdering(t *testing.T) {
 func BenchmarkQTypes(b *testing.B) {
 	s := fixture()
 	eng := NewEngine(s)
-	q := MustParse(`SELECT DISTINCT ?c WHERE {
+	q, err := Parse(`SELECT DISTINCT ?c WHERE {
 		?x rdfs:label "Rome" .
 		?x rdf:type/rdfs:subClassOf* ?c }`)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := eng.Eval(q); err != nil {

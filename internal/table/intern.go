@@ -41,14 +41,6 @@ func (d *Dict) Len() int { return len(d.vals) }
 // Value returns the canonical string stored under code.
 func (d *Dict) Value(code int32) string { return d.vals[code] }
 
-// Code returns the code of v, or -1 when v never occurred in the column.
-func (d *Dict) Code(v string) int32 {
-	if c, ok := d.byVal[v]; ok {
-		return c
-	}
-	return -1
-}
-
 // Group is one distinct row signature: the representative row (first
 // occurrence) plus every row sharing the signature, in ascending row order.
 type Group struct {
@@ -191,50 +183,11 @@ func (in *Interned) NumCols() int { return in.cols }
 // NumGroups returns the number of distinct row signatures.
 func (in *Interned) NumGroups() int { return len(in.groups) }
 
-// Groups returns the signature groups in first-occurrence order. Shared
-// slice; read-only.
-func (in *Interned) Groups() []Group { return in.groups }
-
 // Group returns the i-th signature group.
 func (in *Interned) Group(i int) Group { return in.groups[i] }
 
 // GroupOf returns the signature-group index of row.
 func (in *Interned) GroupOf(row int) int { return int(in.groupOf[row]) }
 
-// Code returns the dictionary code of cell (row, col).
-func (in *Interned) Code(row, col int) int32 { return in.codes[row*in.cols+col] }
-
 // Dict returns column col's dictionary.
 func (in *Interned) Dict(col int) *Dict { return in.dicts[col] }
-
-// RowsEqual reports whether rows i and j hold identical tuples — an int
-// compare, no string comparison.
-func (in *Interned) RowsEqual(i, j int) bool { return in.groupOf[i] == in.groupOf[j] }
-
-// Compact rebuilds t's row storage in place into a single flat cell arena
-// with every repeated cell value sharing one canonical string instance.
-// Semantically a no-op (cell values are unchanged); the point is memory: a
-// 316K-row table built from decoded JSON or CSV holds one string header per
-// cell and often one backing array each, where the compacted table holds one
-// []string arena and one backing string per distinct value. Returns t.
-func (t *Table) Compact() *Table {
-	cols := t.NumCols()
-	arena := make([]string, 0, len(t.Rows)*cols)
-	canon := make(map[string]string)
-	rows := make([][]string, len(t.Rows))
-	for i, row := range t.Rows {
-		base := len(arena)
-		for _, v := range row {
-			cv, ok := canon[v]
-			if !ok {
-				canon[v] = v
-				cv = v
-			}
-			arena = append(arena, cv)
-		}
-		rows[i] = arena[base:len(arena):len(arena)]
-	}
-	t.Rows = rows
-	t.arena = arena[:len(arena):len(arena)]
-	return t
-}

@@ -60,11 +60,11 @@ func TestInternedRoundTrip(t *testing.T) {
 		// the dictionary maps it back to the same code.
 		for i := 0; i < rows; i++ {
 			for j := 0; j < cols; j++ {
-				code := in.Code(i, j)
+				code := in.codes[i*cols+j]
 				if got := in.Dict(j).Value(code); got != tb.Rows[i][j] {
 					t.Fatalf("seed %d: cell (%d,%d) decoded %q, want %q", seed, i, j, got, tb.Rows[i][j])
 				}
-				if back := in.Dict(j).Code(tb.Rows[i][j]); back != code {
+				if back := in.Dict(j).byVal[tb.Rows[i][j]]; back != code {
 					t.Fatalf("seed %d: cell (%d,%d) re-encoded %d, want %d", seed, i, j, back, code)
 				}
 			}
@@ -79,15 +79,16 @@ func TestInternedRoundTrip(t *testing.T) {
 						break
 					}
 				}
-				if got := in.RowsEqual(i, k); got != equal {
-					t.Fatalf("seed %d: RowsEqual(%d,%d)=%v, want %v", seed, i, k, got, equal)
+				if got := in.GroupOf(i) == in.GroupOf(k); got != equal {
+					t.Fatalf("seed %d: rows %d,%d share a group=%v, want %v", seed, i, k, got, equal)
 				}
 			}
 		}
 		// Groups partition the rows in first-occurrence order, each group's
 		// Rep being its first member.
 		seen := 0
-		for g, gr := range in.Groups() {
+		for g := 0; g < in.NumGroups(); g++ {
+			gr := in.Group(g)
 			if len(gr.Rows) == 0 {
 				t.Fatalf("seed %d: group %d empty", seed, g)
 			}
@@ -176,25 +177,6 @@ func TestAppendArena(t *testing.T) {
 	}
 }
 
-// TestCompactPreservesCells pins Compact as a semantic no-op that canonises
-// duplicate strings onto shared instances.
-func TestCompactPreservesCells(t *testing.T) {
-	tb := New("t", "A", "B")
-	// Build values that are equal but distinct instances.
-	v1 := "du" + "plicate"
-	v2 := "dupli" + "cate"
-	tb.Append(v1, "x")
-	tb.Append(v2, "y")
-	orig := tb.Clone()
-	if tb.Compact() != tb {
-		t.Fatal("Compact must return its receiver")
-	}
-	diff, err := tb.Diff(orig)
-	if err != nil || len(diff) != 0 {
-		t.Fatalf("Compact changed cells: diff=%v err=%v", diff, err)
-	}
-}
-
 // TestExtendMatchesFreshBuild pins the Extend contract: extending a view
 // over appended rows yields a view observationally identical to a fresh
 // build over the merged table — same codes, same group IDs, same members.
@@ -227,8 +209,8 @@ func TestExtendMatchesFreshBuild(t *testing.T) {
 				t.Fatalf("trial %d: GroupOf(%d) = %d, want %d", trial, i, in.GroupOf(i), want.GroupOf(i))
 			}
 			for j := 0; j < cols; j++ {
-				if in.Code(i, j) != want.Code(i, j) {
-					t.Fatalf("trial %d: Code(%d,%d) = %d, want %d", trial, i, j, in.Code(i, j), want.Code(i, j))
+				if got, exp := in.codes[i*cols+j], want.codes[i*cols+j]; got != exp {
+					t.Fatalf("trial %d: code(%d,%d) = %d, want %d", trial, i, j, got, exp)
 				}
 			}
 		}

@@ -20,7 +20,7 @@ type Table struct {
 
 	// arena, when non-nil, is a flat cell store that Append carves rows out
 	// of: one allocation for many rows instead of one []string per row. It
-	// is populated by Grow and Compact; tables built without them behave
+	// is populated by Grow and Clone; tables built without them behave
 	// exactly as before.
 	arena []string
 }
@@ -72,16 +72,6 @@ func (t *Table) Append(row ...string) {
 // Cell returns the value at (row, col).
 func (t *Table) Cell(row, col int) string { return t.Rows[row][col] }
 
-// Column returns the index of the named column, or -1.
-func (t *Table) Column(name string) int {
-	for i, c := range t.Columns {
-		if c == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // Clone deep-copies the table. The copy is arena-backed: all cells live in
 // one flat allocation rather than one slice per row.
 func (t *Table) Clone() *Table {
@@ -99,15 +89,6 @@ func (t *Table) Clone() *Table {
 	}
 	nt.arena = arena[:len(arena):len(arena)]
 	return nt
-}
-
-// ColumnValues returns the values of column col in row order.
-func (t *Table) ColumnValues(col int) []string {
-	out := make([]string, len(t.Rows))
-	for i, r := range t.Rows {
-		out[i] = r[col]
-	}
-	return out
 }
 
 // ReadCSV parses a table from CSV. The first record is the header.
@@ -148,24 +129,6 @@ func (t *Table) WriteCSV(w io.Writer) error {
 
 // CellRef addresses one cell.
 type CellRef struct{ Row, Col int }
-
-// Diff returns the cells where t and other disagree. Tables must have the
-// same shape.
-func (t *Table) Diff(other *Table) ([]CellRef, error) {
-	if t.NumRows() != other.NumRows() || t.NumCols() != other.NumCols() {
-		return nil, fmt.Errorf("table: shape mismatch %dx%d vs %dx%d",
-			t.NumRows(), t.NumCols(), other.NumRows(), other.NumCols())
-	}
-	var out []CellRef
-	for i := range t.Rows {
-		for j := range t.Rows[i] {
-			if t.Rows[i][j] != other.Rows[i][j] {
-				out = append(out, CellRef{Row: i, Col: j})
-			}
-		}
-	}
-	return out, nil
-}
 
 // InjectErrors corrupts the table in place: each tuple is modified with
 // probability rate; a corrupted tuple gets one randomly chosen cell among

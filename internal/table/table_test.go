@@ -3,6 +3,7 @@ package table
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -23,13 +24,6 @@ func TestAppendAndAccess(t *testing.T) {
 	}
 	if tb.Cell(2, 2) != "Madrid" {
 		t.Fatalf("Cell(2,2) = %q", tb.Cell(2, 2))
-	}
-	if tb.Column("B") != 1 || tb.Column("Z") != -1 {
-		t.Fatal("Column lookup broken")
-	}
-	got := tb.ColumnValues(1)
-	if len(got) != 3 || got[0] != "Italy" {
-		t.Fatalf("ColumnValues = %v", got)
 	}
 }
 
@@ -66,12 +60,8 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diff, err := a.Diff(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diff) != 0 {
-		t.Fatalf("round trip diff: %v", diff)
+	if !reflect.DeepEqual(a.Columns, b.Columns) || !reflect.DeepEqual(a.Rows, b.Rows) {
+		t.Fatalf("round trip changed the table:\n%v\n%v", a.Rows, b.Rows)
 	}
 }
 
@@ -84,20 +74,24 @@ func TestReadCSVErrors(t *testing.T) {
 	}
 }
 
-func TestDiff(t *testing.T) {
-	a := sample()
-	b := a.Clone()
-	b.Rows[2][2] = "Rome"
-	diff, err := a.Diff(b)
-	if err != nil {
-		t.Fatal(err)
+// assertChangedExactly fails unless the cells of dirty that differ from
+// clean are exactly the reported refs, each reported once.
+func assertChangedExactly(t *testing.T, clean, dirty *Table, refs []CellRef) {
+	t.Helper()
+	reported := map[CellRef]bool{}
+	for _, c := range refs {
+		if reported[c] {
+			t.Fatalf("cell %v reported twice", c)
+		}
+		reported[c] = true
 	}
-	if len(diff) != 1 || diff[0] != (CellRef{Row: 2, Col: 2}) {
-		t.Fatalf("diff = %v", diff)
-	}
-	c := New("other", "A")
-	if _, err := a.Diff(c); err == nil {
-		t.Error("shape mismatch should fail")
+	for i := range clean.Rows {
+		for j := range clean.Rows[i] {
+			c := CellRef{Row: i, Col: j}
+			if changed := clean.Rows[i][j] != dirty.Rows[i][j]; changed != reported[c] {
+				t.Fatalf("cell %v changed=%v, reported=%v", c, changed, reported[c])
+			}
+		}
 	}
 }
 
@@ -115,19 +109,7 @@ func TestInjectErrorsRate(t *testing.T) {
 	}
 	// Every reported cell must actually differ from the clean table, and
 	// nothing else may differ.
-	diff, _ := clean.Diff(tb)
-	if len(diff) != len(injected) {
-		t.Fatalf("diff has %d cells, injected %d", len(diff), len(injected))
-	}
-	seen := map[CellRef]bool{}
-	for _, c := range diff {
-		seen[c] = true
-	}
-	for _, c := range injected {
-		if !seen[c] {
-			t.Fatalf("injected cell %v not in diff", c)
-		}
-	}
+	assertChangedExactly(t, clean, tb, injected)
 }
 
 func TestInjectErrorsRespectsColumns(t *testing.T) {
@@ -157,10 +139,7 @@ func TestInjectErrorsConstantColumn(t *testing.T) {
 	// reported refs must be real changes.
 	clean := tb.Clone()
 	injected := InjectErrors(tb, []int{0}, 1.0, rng)
-	diff, _ := clean.Diff(tb)
-	if len(diff) != len(injected) {
-		t.Fatalf("diff %d vs injected %d", len(diff), len(injected))
-	}
+	assertChangedExactly(t, clean, tb, injected)
 }
 
 func TestInjectErrorsDeterministic(t *testing.T) {
@@ -177,7 +156,7 @@ func TestInjectErrorsDeterministic(t *testing.T) {
 	if len(r1) != len(r2) {
 		t.Fatal("nondeterministic injection count")
 	}
-	if d, _ := t1.Diff(t2); len(d) != 0 {
+	if !reflect.DeepEqual(t1.Rows, t2.Rows) {
 		t.Fatal("nondeterministic corruption")
 	}
 }

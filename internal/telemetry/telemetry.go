@@ -1,8 +1,7 @@
 // Package telemetry instruments the KATARA pipeline: wall-clock timers for
 // the pipeline stages (discover → validate → annotate → repair), monotonic
 // counters for the quantities the paper's cost model cares about (crowd
-// questions, KB lookups, instance graphs enumerated), and a pluggable
-// Tracer hook for live observation.
+// questions, KB lookups, instance graphs enumerated).
 //
 // The instrument is a *Pipeline. A nil *Pipeline is the disabled instrument:
 // every method is safe to call on it and does nothing, without allocating,
@@ -153,17 +152,6 @@ func (s Stage) String() string {
 	}
 }
 
-// Tracer observes stage boundaries as they happen. Implementations must be
-// fast and safe for use from the goroutine running the pipeline (stages are
-// entered and left by the orchestrating goroutine only, never by pool
-// workers).
-type Tracer interface {
-	// StageStart is called when the pipeline enters s.
-	StageStart(s Stage)
-	// StageEnd is called when the pipeline leaves s after d.
-	StageEnd(s Stage, d time.Duration)
-}
-
 // Pipeline accumulates one run's instrumentation. The zero value is ready to
 // use; nil means disabled.
 type Pipeline struct {
@@ -171,7 +159,6 @@ type Pipeline struct {
 	stageNS  [numStages]atomic.Int64
 	stageN   [numStages]atomic.Int64
 	hists    [numHists]Histogram
-	tracer   Tracer // optional; no-op when nil
 
 	// Span journal (trace.go). journal is attached before the run; the
 	// scope stack tracks pushed spans (run root, stages) so leaf spans from
@@ -189,12 +176,8 @@ type Pipeline struct {
 	stageSpans    [numStages]Span
 }
 
-// New returns an enabled Pipeline with the no-op tracer.
+// New returns an enabled Pipeline.
 func New() *Pipeline { return &Pipeline{} }
-
-// NewTraced returns an enabled Pipeline reporting stage boundaries to t
-// (nil t behaves like New).
-func NewTraced(t Tracer) *Pipeline { return &Pipeline{tracer: t} }
 
 // Inc adds 1 to counter c.
 func (p *Pipeline) Inc(c Counter) { p.Add(c, 1) }
@@ -217,7 +200,7 @@ func (p *Pipeline) Get(c Counter) int64 {
 
 // StartStage marks entry into s and returns the start time to hand back to
 // EndStage. Disabled pipelines return the zero Time. Stages are entered and
-// left by the orchestrating goroutine only (the Tracer contract); when a
+// left by the orchestrating goroutine only, never by fan-out workers; when a
 // journal is attached each stage also becomes a scoped span, so
 // sub-operation spans nest under it.
 func (p *Pipeline) StartStage(s Stage) time.Time {
@@ -230,9 +213,6 @@ func (p *Pipeline) StartStage(s Stage) time.Time {
 	p.curStagePlus1.Store(int32(s) + 1)
 	if p.journal != nil {
 		p.stageSpans[s] = p.PushSpan(s.String())
-	}
-	if p.tracer != nil {
-		p.tracer.StageStart(s)
 	}
 	return time.Now()
 }
@@ -263,9 +243,6 @@ func (p *Pipeline) EndStage(s Stage, start time.Time) {
 	}
 	p.curStagePlus1.Store(cur)
 	p.spanMu.Unlock()
-	if p.tracer != nil {
-		p.tracer.StageEnd(s, d)
-	}
 }
 
 // CurrentStage returns the innermost active stage's name, or "" when the

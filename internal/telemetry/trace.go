@@ -7,8 +7,8 @@
 // reconstructs into a single rooted tree.
 //
 // Concurrency model: *scoped* spans (the run root and the pipeline stages)
-// are pushed and popped by the orchestrating goroutine only — the same
-// contract the Tracer interface already documents. *Leaf* spans
+// are pushed and popped by the orchestrating goroutine only, like the stage
+// timers. *Leaf* spans
 // (StartSpan) may be created and ended from any goroutine; their parent is
 // whatever scoped span is current at creation time.
 //
@@ -133,9 +133,6 @@ type Span struct {
 	ended  bool
 }
 
-// Enabled reports whether the span records anything.
-func (s *Span) Enabled() bool { return s != nil && s.p != nil }
-
 // attr lazily sets one attribute. Caller has checked s.p != nil.
 func (s *Span) attr(key string, v any) {
 	if s.attrs == nil {
@@ -161,14 +158,6 @@ func (s *Span) SetStr(key, v string) {
 	s.attr(key, v)
 }
 
-// SetFloat attaches a float attribute.
-func (s *Span) SetFloat(key string, v float64) {
-	if s == nil || s.p == nil || s.ended {
-		return
-	}
-	s.attr(key, v)
-}
-
 // End emits the span to the journal (and, for pushed spans, restores its
 // parent as the current span).
 func (s *Span) End() {
@@ -184,7 +173,7 @@ func (s *Span) End() {
 
 // SetJournal attaches a span journal; nil detaches. Must be called before
 // the run starts (span creation races with journal swaps are not
-// synchronised, matching the Tracer contract).
+// synchronised).
 func (p *Pipeline) SetJournal(j *Journal) {
 	if p == nil {
 		return

@@ -31,9 +31,11 @@ func (r *recordingTransport) Deliver(q crowd.Question, _ crowd.Worker, _ func() 
 
 func recordingValidator(kb *rdf.Store, o Oracle) (*Validator, *recordingTransport) {
 	rec := &recordingTransport{}
+	cr := crowd.Perfect(3)
+	cr.SetTransport(rec)
 	return &Validator{
 		KB:     kb,
-		Crowd:  crowd.Perfect(3, crowd.WithTransport(rec)),
+		Crowd:  cr,
 		Oracle: o,
 		Rng:    rand.New(rand.NewSource(1)),
 	}, rec

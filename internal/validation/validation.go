@@ -98,9 +98,6 @@ type AnswerMemo struct {
 // NewAnswerMemo returns an empty memo.
 func NewAnswerMemo() *AnswerMemo { return &AnswerMemo{m: make(map[string]rdf.ID)} }
 
-// Len returns the number of memoised decisions.
-func (m *AnswerMemo) Len() int { return len(m.m) }
-
 func memoKey(v Variable, domain []rdf.ID) string {
 	var b strings.Builder
 	b.WriteString(v.String())

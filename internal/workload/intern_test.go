@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -10,16 +11,20 @@ import (
 // adversarial value distribution InjectLabelCollisions produces: labels one
 // character edit away from real table values. Near-duplicates are exactly
 // where a sloppy interner would go wrong (sharing a code across values that
-// merely normalise alike), so the test pins that dictionary codes are
-// assigned per *exact* string and every cell round-trips byte-identically.
+// merely normalise alike), so the test pins that dictionary entries are
+// kept per *exact* string and rows group only when byte-identical.
 // It lives here rather than in internal/table because workload imports
 // table — the interner package cannot exercise the adversary directly.
 func TestInternerRoundTripsCollisionLabels(t *testing.T) {
 	w := testWorld()
 	kb := DBpediaLike(w, 5)
 	spec := PersonTable(w, 6, 200)
-	values := spec.Table.ColumnValues(0)
-	values = append(values, spec.Table.ColumnValues(1)...)
+	var values []string
+	for col := 0; col < 2; col++ {
+		for _, r := range spec.Table.Rows {
+			values = append(values, r[col])
+		}
+	}
 
 	rng := rand.New(rand.NewSource(9))
 	added := InjectLabelCollisions(kb, rng, values, 60)
@@ -44,25 +49,39 @@ func TestInternerRoundTripsCollisionLabels(t *testing.T) {
 	}
 
 	in := tb.Interned()
-	for i := range tb.Rows {
-		for j := range tb.Rows[i] {
-			if got := in.Dict(j).Value(in.Code(i, j)); got != tb.Rows[i][j] {
-				t.Fatalf("cell (%d,%d) round-tripped %q, want %q", i, j, got, tb.Rows[i][j])
+	// Every row is byte-identical to its signature group's representative:
+	// a decoy sharing a code with the value it imitates would group rows
+	// that differ.
+	for i, row := range tb.Rows {
+		rep := tb.Rows[in.Group(in.GroupOf(i)).Rep]
+		if !reflect.DeepEqual(row, rep) {
+			t.Fatalf("row %d %q grouped with representative %q", i, row, rep)
+		}
+	}
+	// Each column's dictionary holds every distinct exact string once.
+	for j := range tb.Columns {
+		distinct := map[string]bool{}
+		for _, row := range tb.Rows {
+			distinct[row[j]] = true
+		}
+		d := in.Dict(j)
+		if d.Len() != len(distinct) {
+			t.Fatalf("column %d dictionary has %d entries, want %d distinct values", j, d.Len(), len(distinct))
+		}
+		for c := 0; c < d.Len(); c++ {
+			if !distinct[d.Value(int32(c))] {
+				t.Fatalf("column %d code %d decodes to %q, not a cell value", j, c, d.Value(int32(c)))
 			}
+			delete(distinct, d.Value(int32(c)))
 		}
 	}
 	// The decoy rows were appended in exact-duplicate pairs: each pair must
-	// collapse into one signature group, and a decoy label must never share
-	// a dictionary code with the value it imitates.
+	// collapse into one signature group.
 	base := spec.Table.NumRows()
 	for k := 0; k < len(decoys); k++ {
 		r := base + 2*k
-		if !in.RowsEqual(r, r+1) {
+		if in.GroupOf(r) != in.GroupOf(r+1) {
 			t.Fatalf("duplicate decoy rows %d/%d landed in different groups", r, r+1)
-		}
-		d, orig := decoys[k], values[k%len(values)]
-		if d != orig && in.Dict(0).Code(d) == in.Dict(0).Code(orig) && in.Dict(0).Code(d) >= 0 {
-			t.Fatalf("near-duplicates %q and %q share a dictionary code", d, orig)
 		}
 	}
 }

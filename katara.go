@@ -69,8 +69,6 @@ type (
 	ValidationOracle = validation.Oracle
 	// FactOracle supplies ground truth for simulated fact verification.
 	FactOracle = annotation.FactOracle
-	// Tracer observes pipeline stage boundaries live (Options.Tracer).
-	Tracer = telemetry.Tracer
 	// TelemetryPipeline is the full instrumentation pipeline: counters,
 	// stage timers, latency histograms, spans. Construct with NewTelemetry
 	// and pass via Options.Pipeline when the caller needs to observe the run
@@ -129,8 +127,9 @@ func NewFaultInjector(cfg FaultConfig) *crowd.FaultInjector {
 	return crowd.NewFaultInjector(cfg)
 }
 
-// NewBudget caps a run's crowd consumption: questions and/or assignments
-// (0 = unlimited). Pass via Options or crowd.WithBudget.
+// NewBudget caps a crowd's consumption: questions and/or assignments
+// (0 = unlimited). Install it with Crowd.SetBudget; Options.Budget and
+// Options.BudgetAssignments set the same caps for one Clean run.
 func NewBudget(questions, assignments int) *crowd.Budget {
 	return crowd.NewBudget(questions, assignments)
 }
@@ -231,11 +230,8 @@ type Options struct {
 	// stage wall-clocks and pipeline counters (default off; disabled
 	// instrumentation adds no overhead).
 	Telemetry bool
-	// Tracer streams stage boundaries as they happen; setting it implies
-	// Telemetry.
-	Tracer Tracer
 	// Pipeline, when non-nil, is the caller-owned instrumentation pipeline
-	// the run records into, taking precedence over Tracer and Telemetry.
+	// the run records into, taking precedence over Telemetry.
 	// Supplying it lets the caller attach a span journal or serve live
 	// /metrics while the run is in flight; Report.Timings still carries the
 	// end-of-run snapshot.
@@ -513,7 +509,7 @@ type Report struct {
 	// policy; its zero value means the run completed normally.
 	Degraded DegradeReport
 	// Timings holds the run's stage wall-clocks and pipeline counters; nil
-	// unless Options.Telemetry (or Options.Tracer) is set.
+	// unless Options.Telemetry or Options.Pipeline is set.
 	Timings *Timings
 	// Provenance is the run's evidence-lineage recorder; nil unless
 	// Options.Provenance was set.

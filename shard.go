@@ -80,13 +80,11 @@ func numUnits(t *Table, in *table.Interned) int {
 }
 
 // pipeline picks the run's instrumentation: the caller-owned pipeline, a
-// traced one, a plain one, or nil (disabled).
+// fresh one, or nil (disabled).
 func (c *Cleaner) pipeline() *telemetry.Pipeline {
 	switch {
 	case c.opts.Pipeline != nil:
 		return c.opts.Pipeline
-	case c.opts.Tracer != nil:
-		return telemetry.NewTraced(c.opts.Tracer)
 	case c.opts.Telemetry:
 		return telemetry.New()
 	}
