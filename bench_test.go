@@ -647,8 +647,9 @@ func BenchmarkAppendDelta(b *testing.B) {
 // BenchmarkPersonFullScale is the tentpole measurement: the end-to-end
 // pipeline over the full 316K-row Person table on one machine, dedup on.
 // Alongside time/op and allocs/op it reports the table's distinct-signature
-// count and the crowd question counts with and without distinct-signature
-// execution (the dedup-off reference run happens outside the timer); the run
+// count, the annotation decisions and KB lookups of the dedup run, and the
+// crowd question counts with and without distinct-signature execution (the
+// dedup-off reference run happens outside the timer); the run
 // fails unless dedup asks strictly fewer questions. Memory is perfbench's to
 // measure (peak_mem_mib): runtime.MemStats.Sys here would be the process's
 // lifetime reservation, table generation and the reference run included.
@@ -672,6 +673,7 @@ func BenchmarkPersonFullScale(b *testing.B) {
 			Shards:           -1,
 			MaxRows:          500, // cap discovery sampling; patterns saturate long before 316K rows
 			Dedup:            &d,
+			Telemetry:        true,
 		}).Clean(dirty)
 		if err != nil {
 			b.Fatal(err)
@@ -688,6 +690,11 @@ func BenchmarkPersonFullScale(b *testing.B) {
 	b.ReportMetric(float64(dirty.Interned().NumGroups()), "distinct-signatures/op")
 	b.ReportMetric(float64(rep.QuestionsAsked), "questions-dedup/op")
 	b.ReportMetric(float64(offRep.QuestionsAsked), "questions-nodedup/op")
+	// Annotation decides each signature once per coverage state: decisions
+	// (annotate-tuple samples) and KB lookups track the signature count,
+	// not the row count.
+	b.ReportMetric(float64(rep.Timings.HistByName("annotate-tuple").Count), "decisions/op")
+	b.ReportMetric(float64(rep.Timings.Counter("kb-lookups")), "kb-lookups/op")
 	if rep.QuestionsAsked >= offRep.QuestionsAsked {
 		b.Fatalf("dedup asked %d questions, no-dedup asked %d; dedup must be strictly lower at full scale",
 			rep.QuestionsAsked, offRep.QuestionsAsked)

@@ -351,10 +351,9 @@ func (c *Cleaner) recleanFromBase(ctx context.Context, reason string, deltaRows 
 // ApplyKBDelta folds new facts into the KB mid-session and reconciles the
 // cumulative report, as if the session had started from the enlarged KB.
 // Label additions on known resources take a targeted path: the pattern is
-// re-checked by replay, the affected decision units — those whose cell
-// values the new labels can now match, found by reverse similarity lookup —
-// are examined, and if none of them involved the crowd only the repair
-// rankings are recomputed. Any other addition, or an affected crowd-decided
+// re-checked by replay, and if no decision unit holds a cell value the new
+// labels can match (found by reverse similarity lookup) only the repair
+// rankings are recomputed. Any other addition, or a label that affects any
 // unit, triggers a recorded full re-clean from the merged KB. Returns the
 // reconciled cumulative report.
 func (c *Cleaner) ApplyKBDelta(adds []KBAddition) (*Report, error) {
@@ -406,13 +405,13 @@ func (c *Cleaner) ApplyKBDeltaContext(ctx context.Context, adds []KBAddition) (*
 	if p == nil {
 		return c.recleanFromBase(ctx, reason, 0)
 	}
-	if c.kbDeltaTouchesCrowdUnits(labelNorms) {
+	if c.kbDeltaTouchesUnits(labelNorms) {
 		return c.recleanFromBase(ctx, "kb-delta-affected-unit", 0)
 	}
-	// Every affected unit was fully KB-validated, and fuller coverage cannot
-	// shrink (KB growth is monotone): annotations, facts and enrichment are
-	// untouched. Repairs are a pure function of the enlarged KB — re-rank
-	// every erroneous row against a rebuilt index, exactly the batch result.
+	// No unit's label candidates moved, so every unit's coverage (and the
+	// session's coverage memo), questions and enrichment are untouched.
+	// Repairs are a pure function of the enlarged KB — re-rank every
+	// erroneous row against a rebuilt index, exactly the batch result.
 	return c.run(ctx, "kb-delta", s.tbl, s.in, 0, func(_ context.Context, tel *telemetry.Pipeline, _ *telemetry.Span) (*Report, error) {
 		rep := s.report
 		rep.Pattern = p
@@ -428,27 +427,25 @@ func (c *Cleaner) ApplyKBDeltaContext(ctx context.Context, adds []KBAddition) (*
 	})
 }
 
-// kbDeltaTouchesCrowdUnits reports whether any decision unit that involved
-// the crowd (anything but ValidatedByKB) contains a cell value one of the new
-// labels can now match. The affected values are found by reverse lookup: an
-// index over the table's distinct cell values is probed with each new label
-// norm under the relaxed trigram bound, a provable superset of the forward
-// matches (see similarity.LookupNormalizedRelaxed), then exact-scored by the
-// lookup's threshold filter. Units outside the affected set keep identical
+// kbDeltaTouchesUnits reports whether any decision unit contains a cell
+// value one of the new labels can now match. The affected values are found
+// by reverse lookup: an index over the table's distinct cell values is
+// probed with each new label norm under the relaxed trigram bound, a
+// provable superset of the forward matches (see
+// similarity.LookupNormalizedRelaxed), then exact-scored by the lookup's
+// threshold filter. Units outside the affected set keep identical
 // label-candidate sets, so their coverage, questions and enrichment are
-// untouched; fully-KB-validated affected units cannot regress under a
-// monotonically grown KB.
-func (c *Cleaner) kbDeltaTouchesCrowdUnits(labelNorms []string) bool {
+// untouched. An affected unit can change whatever its verdict: a new label
+// adds candidates, and an exact match can also push a fuzzy one out of the
+// match band, so a KB-validated unit can lose its coverage.
+func (c *Cleaner) kbDeltaTouchesUnits(labelNorms []string) bool {
 	s := c.session
-	t := s.tbl
 	ix := similarity.NewIndex()
-	var vals []string
 	seen := map[string]bool{}
 	collect := func(v string) {
 		if !seen[v] {
 			seen[v] = true
 			ix.Add(v)
-			vals = append(vals, v)
 		}
 	}
 	if s.in != nil {
@@ -459,40 +456,14 @@ func (c *Cleaner) kbDeltaTouchesCrowdUnits(labelNorms []string) bool {
 			}
 		}
 	} else {
-		for _, row := range t.Rows {
+		for _, row := range s.tbl.Rows {
 			for _, v := range row {
 				collect(v)
 			}
 		}
 	}
-	affected := map[string]bool{}
 	for _, n := range labelNorms {
-		for _, cand := range ix.LookupNormalizedRelaxed(n, c.opts.Threshold) {
-			affected[vals[cand.ID]] = true
-		}
-	}
-	if len(affected) == 0 {
-		return false
-	}
-	touches := func(row int) bool {
-		for _, v := range t.Rows[row] {
-			if affected[v] {
-				return true
-			}
-		}
-		return false
-	}
-	if s.in != nil {
-		for g := 0; g < s.in.NumGroups(); g++ {
-			rep := s.in.Group(g).Rep
-			if touches(rep) && s.report.Annotations[rep].Label != ValidatedByKB {
-				return true
-			}
-		}
-		return false
-	}
-	for row := range t.Rows {
-		if touches(row) && s.report.Annotations[row].Label != ValidatedByKB {
+		if len(ix.LookupNormalizedRelaxed(n, c.opts.Threshold)) > 0 {
 			return true
 		}
 	}

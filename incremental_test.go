@@ -169,11 +169,25 @@ func TestAppendRejectsWrongArity(t *testing.T) {
 	}
 }
 
-// applyKBDeltaOracle cleans the full table from scratch against the pristine
-// KB with adds already merged — the semantics ApplyKBDelta must reproduce.
-func applyKBDeltaOracle(t *testing.T, adds []KBAddition) (string, string) {
+// cellEdit overwrites one cell of the test table before cleaning.
+type cellEdit struct {
+	row, col int
+	value    string
+}
+
+// applyKBDeltaOracle cleans the full table (with edits applied) from
+// scratch against the pristine KB with adds already merged — the semantics
+// ApplyKBDelta must reproduce.
+func applyKBDeltaOracle(t *testing.T, adds []KBAddition, edits []cellEdit) (string, string) {
 	t.Helper()
-	kb, tbl := figure1()
+	figure := func() (*KB, *Table) {
+		kb, tbl := figure1()
+		for _, e := range edits {
+			tbl.Rows[e.row][e.col] = e.value
+		}
+		return kb, tbl
+	}
+	kb, tbl := figure()
 	inc := NewCleaner(kb, TrustingCrowd(), Options{Incremental: true, FactOracle: fig1Oracle{kb}})
 	if _, err := inc.Clean(tbl); err != nil {
 		t.Fatal(err)
@@ -183,7 +197,7 @@ func applyKBDeltaOracle(t *testing.T, adds []KBAddition) (string, string) {
 		t.Fatal(err)
 	}
 
-	kb2, tbl2 := figure1()
+	kb2, tbl2 := figure()
 	for _, a := range adds {
 		obj := rdf.IRI(a.Object)
 		if a.Literal {
@@ -200,20 +214,31 @@ func applyKBDeltaOracle(t *testing.T, adds []KBAddition) (string, string) {
 }
 
 func TestApplyKBDeltaMatchesRebuild(t *testing.T) {
-	cases := map[string][]KBAddition{
+	cases := map[string]struct {
+		adds  []KBAddition
+		edits []cellEdit
+	}{
 		// Label on an existing resource, far from every cell value: the
 		// targeted path — no re-clean, repairs re-ranked.
-		"unrelated-label": {{Subject: "y:Madrid", Predicate: rdf.IRILabel, Object: "Zzzqx", Literal: true}},
+		"unrelated-label": {adds: []KBAddition{{Subject: "y:Madrid", Predicate: rdf.IRILabel, Object: "Zzzqx", Literal: true}}},
 		// Label aliasing a cell value in a crowd-decided row: full re-clean.
-		"affects-crowd-row": {{Subject: "y:Rome", Predicate: rdf.IRILabel, Object: "Pretoria", Literal: true}},
+		"affects-crowd-row": {adds: []KBAddition{{Subject: "y:Rome", Predicate: rdf.IRILabel, Object: "Pretoria", Literal: true}}},
+		// Label matching a cell of a KB-validated row exactly: "Russi"
+		// resolved only to y:Rossi (score 0.88); the exact label on y:Klate
+		// pushes y:Rossi out of the match band, so the row loses its KB
+		// coverage and goes to the crowd.
+		"shrinks-kb-row": {
+			adds:  []KBAddition{{Subject: "y:Klate", Predicate: rdf.IRILabel, Object: "Russi", Literal: true}},
+			edits: []cellEdit{{row: 0, col: 0, value: "Russi"}},
+		},
 		// Non-label triple: always the re-clean path.
-		"non-label": {{Subject: "y:SAfrica", Predicate: "hasCapital", Object: "y:Pretoria"}},
+		"non-label": {adds: []KBAddition{{Subject: "y:SAfrica", Predicate: "hasCapital", Object: "y:Pretoria"}}},
 		// New subject: must not take the targeted path.
-		"new-subject": {{Subject: "y:France", Predicate: rdf.IRILabel, Object: "France", Literal: true}},
+		"new-subject": {adds: []KBAddition{{Subject: "y:France", Predicate: rdf.IRILabel, Object: "France", Literal: true}}},
 	}
-	for name, adds := range cases {
+	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
-			got, want := applyKBDeltaOracle(t, adds)
+			got, want := applyKBDeltaOracle(t, tc.adds, tc.edits)
 			if got != want {
 				t.Fatalf("ApplyKBDelta != rebuild-from-merged-KB\n--- incremental\n%s--- rebuild\n%s", got, want)
 			}

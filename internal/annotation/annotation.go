@@ -7,6 +7,7 @@ package annotation
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"katara/internal/crowd"
@@ -62,7 +63,10 @@ type Fact struct {
 	Object  string   // cell value, when !IsType
 }
 
-// TupleAnnotation is the per-tuple outcome.
+// TupleAnnotation is the per-tuple outcome. Under dedup, the rows of one
+// decision unit that copy its settled outcome share the NodeByKB map and
+// the EdgeByKB, PathByKB and NewFacts slices: they are read-only once
+// returned, and callers must copy before modifying them.
 type TupleAnnotation struct {
 	Row   int
 	Label Label
@@ -194,9 +198,10 @@ type Annotator struct {
 	// being annotated (it must have been built from the same rows). The
 	// decision unit is then the signature group instead of the row: step-1
 	// KB coverage is evaluated once per group and shared by its duplicate
-	// rows, and crowd questions are memoized so one question answers every
-	// duplicate. Annotation outcomes are identical with or without it; only
-	// the question count (and therefore crowd cost) drops. The question memo
+	// rows, crowd questions are memoized so one question answers every
+	// duplicate, and a group's settled outcome is copied to its later rows.
+	// Annotation outcomes are identical with or without it; only the
+	// question count (and therefore crowd cost) drops. The question memo
 	// lives for one AnnotateRange pass unless a Session carries it.
 	Interned *table.Interned
 
@@ -312,14 +317,19 @@ func (a *Annotator) EvaluateCoverage(tbl *table.Table, units []int, cover []*pat
 // beforehand. Step 2 — crowd consultation and enrichment — always runs
 // serially in row order regardless of how cover was filled, which is the
 // fan-out determinism argument: only the KB-pure coverage evaluation runs
-// in parallel, so the result is identical for every worker count. When
-// enrichment mutates the KB every memoised verdict is stale, and cover is
-// cleared. An incremental append pass annotates only the delta rows, with
-// the Session and cover of the base run, so the pass is observationally
-// the suffix of one batch run over the merged table.
+// in parallel, so the result is identical for every worker count.
+//
+// Each decision unit is decided once per coverage state: under Interned, a
+// later row of a unit whose decision settled (answered by KB and crowd,
+// not degraded, no enrichment applied) copies that outcome instead of
+// re-running annotateTuple — every check it would issue is a question-memo
+// hit, so the replay could only reach the same verdict. An applied
+// enrichment invalidates the coverage and outcome of exactly the units it
+// can change (see unitMemo.invalidate). An incremental append pass annotates only
+// the delta rows, with the Session and cover of the base run, so the pass
+// is observationally the suffix of one batch run over the merged table.
 func (a *Annotator) AnnotateRange(tbl *table.Table, cover []*pattern.Match, lo, hi int) *Result {
 	threshold := a.threshold()
-	res := &Result{}
 	seenFacts := map[string]bool{}
 	if a.Session != nil {
 		if a.Session.seenFacts == nil {
@@ -335,10 +345,14 @@ func (a *Annotator) AnnotateRange(tbl *table.Table, cover []*pattern.Match, lo, 
 		}
 		cover = make([]*pattern.Match, units)
 	}
+	mem := &unitMemo{p: a.Pattern, cover: cover}
 	// Dedup mode: crowd answers are memoized per question for the duration
 	// of the pass (or the session, when one is attached). Outcomes are
 	// identical either way; only the question count drops.
 	if in != nil {
+		// Only signature groups repeat within a pass: identity units keep
+		// no outcomes.
+		mem.decided = make([]*outcome, len(cover))
 		if a.Session != nil {
 			if a.Session.qmemo == nil {
 				a.Session.qmemo = make(map[questionKey]memoAnswer)
@@ -352,48 +366,52 @@ func (a *Annotator) AnnotateRange(tbl *table.Table, cover []*pattern.Match, lo, 
 	if hi > tbl.NumRows() {
 		hi = tbl.NumRows()
 	}
+	size := max(hi-lo, 0)
+	if a.Session != nil {
+		// Later passes of the session append their tuples to this pass's:
+		// leave the headroom append growth would have, so the first of
+		// them does not copy every earlier tuple.
+		size += size / 4
+	}
+	res := &Result{Tuples: make([]TupleAnnotation, 0, size)}
+	// units counts the coverage evaluations this pass ran inline (units the
+	// memo lacked or an enrichment invalidated).
+	var units, decisions, invalidated int64
+	span := a.Telemetry.PushSpan("annotate-decide")
 	a.provUnit = -1
 	for row := lo; row < hi; row++ {
-		// One scoped span per tuple: the crowd-question spans issued inside
-		// annotateTuple (serially, on this goroutine) attach as its children.
-		tStart := a.Telemetry.StartTimer()
-		tSpan := a.Telemetry.PushSpan("annotate-tuple")
 		unit := row
 		if in != nil {
 			unit = in.GroupOf(row)
 		}
+		if o := mem.outcome(unit); o != nil {
+			// Re-deciding would replay o from question-memo hits: copy it,
+			// and count the hits it stands for.
+			ta := o.ta
+			ta.Row = row
+			res.Tuples = append(res.Tuples, ta)
+			res.Breakdown.add(o.tally)
+			a.Telemetry.Add(telemetry.CrowdQuestionsDeduped, o.asks)
+			a.Telemetry.Inc(telemetry.TuplesAnnotated)
+			continue
+		}
 		m := cover[unit]
 		if m == nil {
+			units++
 			a.Telemetry.Inc(telemetry.KBLookups)
 			m = pattern.EvaluateWith(a.Pattern, a.KB, a.labels(), tbl.Rows[row], threshold)
-			cover[unit] = m
+			mem.store(unit, m)
 		}
-		// Provenance is recorded once per decision unit: the first row of a
-		// signature group writes the unit's evidence, duplicates share it on
-		// read. A degraded record is retried — degradation is a property of
-		// the run's remaining budget, not of the signature.
-		a.provUnit = -1
-		if a.Prov.Enabled() && a.Prov.BeginTuple(unit) {
-			a.provUnit = unit
-		}
-		ta, applied := a.annotateTuple(tbl, row, m)
-		if a.provUnit >= 0 {
-			a.Prov.RecordVerdict(a.provUnit, ta.Label.String(), ta.Degraded, m.Full)
-		}
-		if applied {
-			// The KB changed: every memoized coverage verdict is stale.
-			clear(cover)
-		}
-		tSpan.SetInt("row", int64(row))
-		tSpan.SetStr("label", ta.Label.String())
-		tSpan.End()
-		a.Telemetry.ObserveSince(telemetry.HistAnnotateTuple, tStart)
+		ta, asks, change := a.decide(tbl, row, unit, m)
+		decisions++
 		a.Telemetry.Inc(telemetry.TuplesAnnotated)
 		if ta.Degraded {
 			res.DegradedTuples++
 			a.Telemetry.Inc(telemetry.DegradedDecisions)
 		}
+		tally := a.tally(ta)
 		res.Tuples = append(res.Tuples, ta)
+		res.Breakdown.add(tally)
 		for _, f := range ta.NewFacts {
 			k := factKey(f)
 			if !seenFacts[k] {
@@ -401,46 +419,209 @@ func (a *Annotator) AnnotateRange(tbl *table.Table, cover []*pattern.Match, lo, 
 				res.NewFacts = append(res.NewFacts, f)
 			}
 		}
-		// Table 5 accounting. Unknown tuples are excluded: nothing about
-		// them was established by either the KB or the crowd.
-		if ta.Label == Unknown {
-			continue
+		switch {
+		case change.changed():
+			invalidated += mem.invalidate(change)
+		case mem.decided != nil && !ta.Degraded && ta.Label != Unknown:
+			mem.decided[unit] = &outcome{ta: ta, asks: asks, tally: tally}
 		}
-		for _, n := range a.Pattern.Nodes {
-			if n.Type == rdf.NoID {
-				continue
-			}
-			switch {
-			case ta.NodeByKB[n.Column]:
-				res.Breakdown.TypeKB++
-			case ta.Label == Erroneous:
-				res.Breakdown.TypeError++
-			default:
-				res.Breakdown.TypeCrowd++
+	}
+	span.SetInt("units", units)
+	span.SetInt("decisions", decisions)
+	span.SetInt("invalidated", invalidated)
+	span.End()
+	return res
+}
+
+// outcome is a decision unit's settled verdict within one AnnotateRange
+// pass, copied to the unit's later rows while its coverage stands.
+type outcome struct {
+	ta TupleAnnotation
+	// asks counts the crowd checks the decision issued: each is a memo hit
+	// for a later row of the unit.
+	asks  int64
+	tally Breakdown
+}
+
+// decide runs §6.1 for one row whose unit has coverage m, under its own
+// annotate-tuple span and timer (crowd-question spans attach as its
+// children), and records the unit's provenance. It returns the tuple's
+// annotation, the crowd checks it issued and what its enrichment added.
+func (a *Annotator) decide(tbl *table.Table, row, unit int, m *pattern.Match) (TupleAnnotation, int64, kbChange) {
+	tStart := a.Telemetry.StartTimer()
+	tSpan := a.Telemetry.PushSpan("annotate-tuple")
+	// Provenance is recorded once per decision unit: the first row of a
+	// signature group writes the unit's evidence, duplicates share it on
+	// read. A degraded record is retried — degradation is a property of
+	// the run's remaining budget, not of the signature.
+	a.provUnit = -1
+	if a.Prov.Enabled() && a.Prov.BeginTuple(unit) {
+		a.provUnit = unit
+	}
+	ta, asks, change := a.annotateTuple(tbl, row, m)
+	if a.provUnit >= 0 {
+		a.Prov.RecordVerdict(a.provUnit, ta.Label.String(), ta.Degraded, m.Full)
+	}
+	tSpan.SetInt("row", int64(row))
+	tSpan.SetStr("label", ta.Label.String())
+	tSpan.End()
+	a.Telemetry.ObserveSince(telemetry.HistAnnotateTuple, tStart)
+	return ta, asks, change
+}
+
+// tally is ta's Table 5 contribution. Unknown tuples count nowhere:
+// nothing about them was established by either the KB or the crowd.
+func (a *Annotator) tally(ta TupleAnnotation) Breakdown {
+	var b Breakdown
+	if ta.Label == Unknown {
+		return b
+	}
+	count := func(byKB bool, kb, cr, er *int) {
+		switch {
+		case byKB:
+			*kb++
+		case ta.Label == Erroneous:
+			*er++
+		default:
+			*cr++
+		}
+	}
+	for _, n := range a.Pattern.Nodes {
+		if n.Type != rdf.NoID {
+			count(ta.NodeByKB[n.Column], &b.TypeKB, &b.TypeCrowd, &b.TypeError)
+		}
+	}
+	for i := range a.Pattern.Edges {
+		count(ta.EdgeByKB[i], &b.RelKB, &b.RelCrowd, &b.RelError)
+	}
+	for i := range a.Pattern.Paths {
+		count(ta.PathByKB[i], &b.RelKB, &b.RelCrowd, &b.RelError)
+	}
+	return b
+}
+
+func (b *Breakdown) add(o Breakdown) {
+	b.TypeKB += o.TypeKB
+	b.TypeCrowd += o.TypeCrowd
+	b.TypeError += o.TypeError
+	b.RelKB += o.RelKB
+	b.RelCrowd += o.RelCrowd
+	b.RelError += o.RelError
+}
+
+// kbChange is what one decision's enrichment added to the KB.
+type kbChange struct {
+	// global marks an addition that can move any unit's coverage: a type
+	// fact (HasType of label hits outside Candidates), a minted resource or
+	// label (MatchLabel results — a new exact match can even shrink
+	// Candidates through the match band), or a type, hierarchy or label
+	// triple.
+	global bool
+	// pairs are the (subject, object) resources of relation facts added
+	// between existing resources: each changes only HasPredicate(s, ·, o).
+	pairs [][2]rdf.ID
+}
+
+func (c kbChange) changed() bool { return c.global || len(c.pairs) > 0 }
+
+// unitMemo is one AnnotateRange pass's per-unit state.
+type unitMemo struct {
+	p     *pattern.Pattern
+	cover []*pattern.Match // the caller's coverage memo
+	// decided holds each unit's reusable outcome; nil when units cannot
+	// repeat within the pass.
+	decided []*outcome
+	// bySubject indexes units by the subject candidates of their pattern
+	// edges, so a relation fact visits only the units that can hold its
+	// pair. It is built at the pass's first pair invalidation and indexes
+	// every coverage stored after that; stale entries are harmless, since
+	// each is re-checked against the unit's current coverage.
+	bySubject map[rdf.ID][]int
+}
+
+func (mem *unitMemo) outcome(unit int) *outcome {
+	if mem.decided == nil {
+		return nil
+	}
+	return mem.decided[unit]
+}
+
+func (mem *unitMemo) store(unit int, m *pattern.Match) {
+	mem.cover[unit] = m
+	if mem.bySubject != nil {
+		mem.index(unit, m)
+	}
+}
+
+func (mem *unitMemo) index(unit int, m *pattern.Match) {
+	for _, e := range mem.p.Edges {
+		for _, s := range m.Candidates[e.From] {
+			mem.bySubject[s] = append(mem.bySubject[s], unit)
+		}
+	}
+}
+
+// drop forgets unit's coverage and outcome, reporting whether it had any.
+func (mem *unitMemo) drop(unit int) bool {
+	if mem.cover[unit] == nil {
+		return false
+	}
+	mem.cover[unit] = nil
+	if mem.decided != nil {
+		mem.decided[unit] = nil
+	}
+	return true
+}
+
+// invalidate drops the memoised coverage and reusable outcome of every
+// unit change can affect, and returns how many units it dropped. A
+// relation fact (s, p, o) between existing resources stales exactly the
+// units with a pattern edge e such that s ∈ Candidates[e.From] and o ∈
+// Candidates[e.To]: only their edge checks and consistent assignment read
+// HasPredicate(s, ·, o). A global change — or any change under a pattern
+// with path edges, whose paths may route through any resource — drops
+// every unit.
+func (mem *unitMemo) invalidate(change kbChange) int64 {
+	var n int64
+	if change.global || len(mem.p.Paths) > 0 {
+		for u := range mem.cover {
+			if mem.drop(u) {
+				n++
 			}
 		}
-		for i := range a.Pattern.Edges {
-			switch {
-			case ta.EdgeByKB[i]:
-				res.Breakdown.RelKB++
-			case ta.Label == Erroneous:
-				res.Breakdown.RelError++
-			default:
-				res.Breakdown.RelCrowd++
-			}
-		}
-		for i := range a.Pattern.Paths {
-			switch {
-			case ta.PathByKB[i]:
-				res.Breakdown.RelKB++
-			case ta.Label == Erroneous:
-				res.Breakdown.RelError++
-			default:
-				res.Breakdown.RelCrowd++
+		return n
+	}
+	if mem.bySubject == nil {
+		mem.bySubject = make(map[rdf.ID][]int)
+		for u, m := range mem.cover {
+			if m != nil {
+				mem.index(u, m)
 			}
 		}
 	}
-	return res
+	for _, p := range change.pairs {
+		for _, u := range mem.bySubject[p[0]] {
+			if m := mem.cover[u]; m != nil && mem.touches(m, change.pairs) {
+				mem.drop(u)
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// touches reports whether some pattern edge of m has one of pairs among
+// its endpoint candidates.
+func (mem *unitMemo) touches(m *pattern.Match, pairs [][2]rdf.ID) bool {
+	for _, e := range mem.p.Edges {
+		subs, objs := m.Candidates[e.From], m.Candidates[e.To]
+		for _, p := range pairs {
+			if slices.Contains(subs, p[0]) && slices.Contains(objs, p[1]) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // ctx resolves the annotator's context.
@@ -536,10 +717,11 @@ func factKey(f Fact) string {
 }
 
 // annotateTuple runs §6.1's two steps for one tuple, with the step-1 KB
-// coverage m already evaluated (possibly by a coverage fan-out). The second
-// return reports whether enrichment actually mutated the KB.
-func (a *Annotator) annotateTuple(tbl *table.Table, row int, m *pattern.Match) (TupleAnnotation, bool) {
-	ta := TupleAnnotation{Row: row, NodeByKB: map[int]bool{}}
+// coverage m already evaluated (possibly by a coverage fan-out). It also
+// returns the number of crowd checks it issued and what enrichment added
+// to the KB.
+func (a *Annotator) annotateTuple(tbl *table.Table, row int, m *pattern.Match) (ta TupleAnnotation, asks int64, change kbChange) {
+	ta = TupleAnnotation{Row: row, NodeByKB: map[int]bool{}}
 	tuple := tbl.Rows[row]
 
 	for col, ok := range m.NodeOK {
@@ -552,7 +734,7 @@ func (a *Annotator) annotateTuple(tbl *table.Table, row int, m *pattern.Match) (
 	}
 	if m.Full {
 		ta.Label = ValidatedByKB
-		return ta, false
+		return ta, 0, change
 	}
 
 	// Step 2: validation by KB + crowd for each missing node and edge. The
@@ -564,6 +746,7 @@ func (a *Annotator) annotateTuple(tbl *table.Table, row int, m *pattern.Match) (
 		if unknown {
 			return false, false
 		}
+		asks++
 		yes, degraded, qid, memo := a.ask(prompt, holds)
 		if degraded {
 			ta.Degraded = true
@@ -677,24 +860,21 @@ func (a *Annotator) annotateTuple(tbl *table.Table, row int, m *pattern.Match) (
 	if unknown {
 		ta.Label = Unknown
 		ta.NewFacts = nil // nothing about the tuple was established
-		return ta, false
+		return ta, asks, change
 	}
 
-	applied := false
 	if allConfirmed {
 		ta.Label = ValidatedByCrowd
 		if a.Enrich {
 			for _, f := range ta.NewFacts {
-				if a.apply(f) {
-					applied = true
-				}
+				a.apply(f, &change)
 			}
 		}
 	} else {
 		ta.Label = Erroneous
 		ta.NewFacts = nil // facts from an erroneous tuple are not trusted
 	}
-	return ta, applied
+	return ta, asks, change
 }
 
 func pathLabel(kb *rdf.Store, props []rdf.ID) string {
@@ -706,21 +886,33 @@ func pathLabel(kb *rdf.Store, props []rdf.ID) string {
 }
 
 // apply adds a confirmed fact to the KB, minting resources as needed, and
-// reports whether the KB actually changed (a duplicate fact leaves it
+// records in change what the KB gained (a duplicate fact leaves it
 // untouched). Multi-hop path facts are not applied: asserting the chain
 // would require inventing the intermediate resource, which is §9's open
 // "extending the structure of the KBs" problem.
-func (a *Annotator) apply(f Fact) bool {
+func (a *Annotator) apply(f Fact, change *kbChange) {
 	if len(f.Path) > 0 {
-		return false
+		return
 	}
 	kb := a.KB
 	subj, minted := a.resourceFor(f.Subject)
 	if f.IsType {
-		return kb.Add(subj, kb.TypeID, f.Type) || minted
+		if kb.Add(subj, kb.TypeID, f.Type) || minted {
+			change.global = true
+		}
+		return
 	}
 	obj, mintedObj := a.resourceFor(f.Object)
-	return kb.Add(subj, f.Prop, obj) || minted || mintedObj
+	added := kb.Add(subj, f.Prop, obj)
+	switch {
+	case minted || mintedObj:
+		change.global = true
+	case !added:
+	case f.Prop == kb.TypeID || f.Prop == kb.LabelID || f.Prop == kb.SubClassOfID || f.Prop == kb.SubPropertyOfID:
+		change.global = true
+	default:
+		change.pairs = append(change.pairs, [2]rdf.ID{subj, obj})
+	}
 }
 
 // resourceFor finds the best existing resource labelled like value, or mints

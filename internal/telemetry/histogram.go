@@ -30,8 +30,10 @@ const (
 	// HistRankJoinIter is one best-first expansion of the §4.3 rank join
 	// (a heap pop plus child generation).
 	HistRankJoinIter
-	// HistAnnotateTuple is the per-tuple annotation step (§6.1 steps 1–2,
-	// crowd consultation included).
+	// HistAnnotateTuple is one annotation decision (§6.1 step 2, crowd
+	// consultation included): one per decision unit and coverage state,
+	// not per row — a duplicate row copying its unit's settled outcome
+	// records nothing.
 	HistAnnotateTuple
 	// HistRepairTopK is one erroneous row's top-k repair retrieval through
 	// the inverted lists (§6.2, Algorithm 4).

@@ -60,7 +60,8 @@ type (
 	Question = crowd.Question
 	// Repair is one candidate repair with its cost and cell changes.
 	Repair = repair.Repair
-	// TupleAnnotation is the per-tuple annotation outcome.
+	// TupleAnnotation is the per-tuple annotation outcome. Duplicate rows
+	// share its map and slices: treat them as read-only.
 	TupleAnnotation = annotation.TupleAnnotation
 	// Fact is a crowd-confirmed statement used to enrich the KB.
 	Fact = annotation.Fact

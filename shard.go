@@ -240,30 +240,30 @@ func (c *Cleaner) runClean(ctx context.Context, t *Table) (*Report, error) {
 
 // annotateRows is the §6.1 stage over rows [lo, n) of t. cover is the
 // unit-indexed coverage memo (decision units are ann.Interned's signature
-// groups under dedup, rows otherwise). With more than one worker, the
-// coverage of every unit of the range that cover lacks fans out across
-// ranges first; step 2 (crowd consultation and enrichment) then runs
-// serially in row order over the memo. A single worker skips the up-front
-// pass: the serial step evaluates each unit lazily, which saves the
-// evaluations an enrichment would invalidate.
+// groups under dedup, rows otherwise). The coverage of every unit of the
+// range that cover lacks fans out across Options.Workers ranges first (one
+// worker runs the single range inline); step 2 (crowd consultation and
+// enrichment) then runs serially in row order over the memo, evaluating
+// inline only the units an enrichment invalidated.
 func (c *Cleaner) annotateRows(ann *annotation.Annotator, t *Table, cover []*pattern.Match, lo int) *annotation.Result {
 	n := t.NumRows()
-	if c.opts.Workers > 1 {
-		var todo []int
-		queued := make([]bool, len(cover))
-		for row := lo; row < n; row++ {
-			if u := unitOf(ann.Interned, row); cover[u] == nil && !queued[u] {
-				queued[u] = true
-				todo = append(todo, u)
-			}
+	var todo []int
+	queued := make([]bool, len(cover))
+	for row := lo; row < n; row++ {
+		if u := unitOf(ann.Interned, row); cover[u] == nil && !queued[u] {
+			queued[u] = true
+			todo = append(todo, u)
 		}
-		// Coverage ranges only read the KB: force the lazily-memoised
-		// hierarchy closures before the fan-out.
-		c.kb.WarmClosures()
-		fanout.Run(len(todo), c.opts.Workers, ann.Telemetry, nil, func(r fanout.Range, tel *telemetry.Pipeline, _ *provenance.Recorder) {
-			ann.EvaluateCoverage(t, todo[r.Lo:r.Hi], cover, tel)
-		})
 	}
+	span := ann.Telemetry.PushSpan("annotate-coverage")
+	// Coverage ranges only read the KB: force the lazily-memoised
+	// hierarchy closures before the fan-out.
+	c.kb.WarmClosures()
+	fanout.Run(len(todo), c.opts.Workers, ann.Telemetry, nil, func(r fanout.Range, tel *telemetry.Pipeline, _ *provenance.Recorder) {
+		ann.EvaluateCoverage(t, todo[r.Lo:r.Hi], cover, tel)
+	})
+	span.SetInt("units", int64(len(todo)))
+	span.End()
 	return ann.AnnotateRange(t, cover, lo, n)
 }
 
