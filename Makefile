@@ -14,7 +14,7 @@ COVER_OUT ?= coverage.out
 
 .PHONY: all build fmt-check vet test race bench bench-smoke obs-smoke \
 	daemon-smoke chaos-smoke append-smoke fuzz-smoke cover cover-check \
-	perfbench-test check
+	perfbench-test loc check
 
 all: check
 
@@ -51,6 +51,12 @@ bench-smoke:
 # breaks the benchmark fails here.
 perfbench-test:
 	cd perfbench && $(GO) vet . && $(GO) test .
+
+# The simplicity yardstick: non-test Go lines outside perfbench/ (its own
+# module) and outside hidden build directories.
+loc:
+	@find . \( -path ./perfbench -o -path './.*' \) -prune -o \
+		-name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l
 
 # Native-fuzz burst on every checked-in target: each must survive FUZZTIME
 # (seed corpora under <pkg>/testdata/fuzz/) without a crasher.

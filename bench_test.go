@@ -657,8 +657,7 @@ func BenchmarkPersonFullScale(b *testing.B) {
 	e := env(b)
 	spec := fullScaleTable(b)
 	dirty := spec.Table
-	// Enrichment mutates the KB, and Store.Clone does not preserve term IDs
-	// (the oracles translate through them), so every run rebuilds the same
+	// Enrichment mutates the KB, so every run rebuilds the same
 	// deterministic KB cmd/katara -paper-scale uses — DBpedia-shaped, seed 7,
 	// modelling every relation the Person pattern needs. The rebuild is ~2K
 	// triples, noise next to the clean itself, and bench and CLI end up

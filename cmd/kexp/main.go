@@ -340,7 +340,8 @@ func renderStats(env *experiments.Env, workers int, faultRate float64, pipe *kat
 				})
 			}
 			// Clone the KB: the run enriches it, and later experiments
-			// must see the environment untouched.
+			// must see the environment untouched. The clone keeps term
+			// IDs, so the oracle built on kb answers in its ID space.
 			cleaner := katara.NewCleaner(kb.Store.Clone(), katara.TrustingCrowd(), opts)
 			report, err := cleaner.Clean(dirty)
 			if err != nil {

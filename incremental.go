@@ -1,14 +1,14 @@
 // Incremental and streaming cleaning: Append re-cleans only the rows added
-// since the last run, ApplyKBDelta folds new KB facts in without flushing the
-// session. Both are anchored to one invariant, pinned by the propcheck
-// differentials: the cumulative report after any sequence of increments is
-// semantically identical to one batch Clean of the merged inputs
-// (incremental(T + ΔT) ≡ batch(T ∪ ΔT), and ApplyKBDelta ≡ rebuild from the
-// merged KB).
+// since the last run, ApplyKBDelta folds new KB facts into the session's
+// snapshot and re-cleans from it. Both are anchored to one invariant, pinned
+// by the propcheck differentials: the cumulative report after any sequence
+// of increments is semantically identical to one batch Clean of the merged
+// inputs (incremental(T + ΔT) ≡ batch(T ∪ ΔT), and ApplyKBDelta ≡ rebuild
+// from the merged KB).
 //
 // The machinery behind the invariant:
 //
-//   - the session snapshots the KB at Clean time (CloneExact, ID-preserving),
+//   - the session snapshots the KB at Clean time (Clone, ID-preserving),
 //     so drift checks and full re-cleans run against exactly the store a
 //     batch run over the merged inputs would start from — never against the
 //     enrichment the session itself added;
@@ -24,9 +24,11 @@
 //     making the delta pass observationally the suffix of one long batch
 //     pass; only units the memo lacks are evaluated;
 //   - repairs reuse the cached §6.2 index while the KB is unchanged and rank
-//     only the delta's erroneous rows; any KB mutation (delta enrichment or
-//     ApplyKBDelta) re-ranks every erroneous row against a rebuilt index,
-//     which is exactly what a batch run over the merged inputs computes.
+//     only the delta's erroneous rows; delta enrichment re-ranks every
+//     erroneous row against a rebuilt index, which is exactly what a batch
+//     run over the merged inputs computes;
+//   - ApplyKBDelta adds the facts to the snapshot and takes the recorded
+//     kb-delta re-clean: a batch run over the merged KB, by construction.
 //
 // Equivalence assumes the crowd's answers are a function of the question
 // (the oracle-pinned simulated crowds); a noisy live crowd diverges across
@@ -37,7 +39,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 
 	"katara/internal/annotation"
 	"katara/internal/crowd"
@@ -47,7 +48,6 @@ import (
 	"katara/internal/rdf"
 	"katara/internal/repair"
 	"katara/internal/resolve"
-	"katara/internal/similarity"
 	"katara/internal/table"
 	"katara/internal/telemetry"
 	"katara/internal/validation"
@@ -78,12 +78,13 @@ type session struct {
 	// in is the distinct-signature view, extended in place per append
 	// (nil when Options.Dedup is off).
 	in *table.Interned
-	// base is the ID-preserving KB snapshot taken when Clean started, plus
-	// every ApplyKBDelta since — the store a batch run over the merged
-	// inputs would start from. Session enrichment never touches it.
+	// base is the ID-preserving KB snapshot taken when Clean started — the
+	// store a batch run over the merged inputs would start from. Session
+	// enrichment never touches it; ApplyKBDelta adds its facts here and
+	// re-cleans from it.
 	base *rdf.Store
 	// baseStats/baseResolver serve drift-check discovery over base; built
-	// lazily on the first increment and discarded when base changes.
+	// lazily on the first increment.
 	baseStats    *kbstats.Stats
 	baseResolver *resolve.Cache
 	// memo holds the crowd's §5 plurality decisions from the validated run;
@@ -93,7 +94,6 @@ type session struct {
 	// across passes; cover is the unit-indexed coverage memo.
 	ann        *annotation.Session
 	cover      []*pattern.Match
-	pattern    *Pattern
 	patternKey string
 	// report is the cumulative report, extended in place.
 	report *Report
@@ -102,7 +102,6 @@ type session struct {
 	// repairStamp triples (every KB mutation adds a triple).
 	repairIx    *repair.Index
 	repairStamp int
-	kbStamp     int // kb.NumTriples at the last completed increment
 	// dirty forces a full re-clean on the next increment: the session
 	// degraded (budget/deadline decisions are not replayable) or a prior
 	// increment failed.
@@ -114,7 +113,7 @@ type session struct {
 func (c *Cleaner) beginIncremental(t *Table) {
 	c.session = &session{
 		tbl:  t.Clone(),
-		base: c.kb.CloneExact(),
+		base: c.kb.Clone(),
 		memo: validation.NewAnswerMemo(),
 		ann:  &annotation.Session{},
 	}
@@ -126,7 +125,6 @@ func (c *Cleaner) captureSession(t *Table, rep *Report, in *table.Interned, cove
 	s.in = in
 	s.cover = cover
 	s.rows = t.NumRows()
-	s.pattern = rep.Pattern
 	if rep.Pattern != nil {
 		s.patternKey = rep.Pattern.Key()
 	}
@@ -138,7 +136,6 @@ func (c *Cleaner) captureSession(t *Table, rep *Report, in *table.Interned, cove
 		}
 	}
 	s.repairIx = nil
-	s.kbStamp = c.kb.NumTriples()
 	// Degraded decisions depend on budget/deadline state a replay cannot
 	// reproduce; all further increments fall back to full re-cleans.
 	s.dirty = rep.Degraded.Any()
@@ -212,28 +209,15 @@ func (c *Cleaner) replayPattern(ctx context.Context) (*Pattern, string) {
 	if c.opts.ValidationOracle == nil {
 		p = candidates[0]
 	} else {
-		v := &validation.Validator{
-			KB:                   s.base,
-			Table:                s.tbl,
-			Crowd:                c.crowd,
-			Oracle:               c.opts.ValidationOracle,
-			QuestionsPerVariable: c.opts.QuestionsPerVariable,
-			TuplesPerQuestion:    c.opts.TuplesPerQuestion,
-			Rng:                  rand.New(rand.NewSource(c.opts.Seed)),
-			Ctx:                  ctx,
-			Memo:                 s.memo,
-			Replay:               true,
-		}
+		v := c.validator(ctx, s.base, s.tbl)
+		v.Memo, v.Replay = s.memo, true
 		res := v.MUVF(candidates)
 		if v.Missed || res.Degraded || res.Pattern == nil {
 			return nil, "validation-memo-miss"
 		}
 		p = res.Pattern
 	}
-	if c.opts.DiscoverPaths {
-		p = p.Clone()
-		discovery.AttachPathEdges(p, discovery.DiscoverPathEdges(cands))
-	}
+	p = c.withPathEdges(p, cands)
 	if p.Key() != s.patternKey {
 		return nil, "pattern-shift"
 	}
@@ -265,7 +249,7 @@ func (c *Cleaner) appendDelta(ctx context.Context, p *Pattern, lo int) (*Report,
 		// The replayed pattern carries the merged table's discovery score —
 		// what a batch run over the merged table reports.
 		rep.Pattern = p
-		s.pattern, s.patternKey = p, p.Key()
+		s.patternKey = p.Key()
 		rep.Annotations = append(rep.Annotations, res.Tuples...)
 		rep.NewFacts = append(rep.NewFacts, res.NewFacts...)
 		rep.Degraded.Tuples += res.DegradedTuples
@@ -296,7 +280,6 @@ func (c *Cleaner) appendDelta(ctx context.Context, p *Pattern, lo int) (*Report,
 		}
 		root.SetInt("questions", int64(dc.Questions))
 		s.rows = t.NumRows()
-		s.kbStamp = c.kb.NumTriples()
 		return rep, nil
 	})
 }
@@ -329,14 +312,15 @@ func (c *Cleaner) sessionRepairs(rep *Report, p *Pattern, rows []int, rerankAll 
 // recleanFromBase is the drift path: record the drift, rewind the KB to the
 // session snapshot (plus any applied KB deltas) and run the full batch
 // pipeline over the merged table — the increments' semantics, recomputed
-// from scratch.
+// from scratch. The snapshot itself becomes the live KB: runClean's
+// beginIncremental snapshots it again before anything can enrich it.
 func (c *Cleaner) recleanFromBase(ctx context.Context, reason string, deltaRows int) (*Report, error) {
 	s := c.session
 	if rec := c.opts.Provenance; rec.Enabled() {
 		// Reset at the start of runClean deliberately preserves drift events.
 		rec.RecordDrift(reason, deltaRows)
 	}
-	c.kb = s.base.CloneExact()
+	c.kb = s.base
 	c.stats = kbstats.New(c.kb)
 	c.resolver = resolve.New(c.kb, c.opts.Threshold)
 	rep, err := c.runClean(ctx, s.tbl)
@@ -349,12 +333,9 @@ func (c *Cleaner) recleanFromBase(ctx context.Context, reason string, deltaRows 
 }
 
 // ApplyKBDelta folds new facts into the KB mid-session and reconciles the
-// cumulative report, as if the session had started from the enlarged KB.
-// Label additions on known resources take a targeted path: the pattern is
-// re-checked by replay, and if no decision unit holds a cell value the new
-// labels can match (found by reverse similarity lookup) only the repair
-// rankings are recomputed. Any other addition, or a label that affects any
-// unit, triggers a recorded full re-clean from the merged KB. Returns the
+// cumulative report, as if the session had started from the enlarged KB:
+// the facts join the session's KB snapshot, and a recorded kb-delta re-clean
+// runs the batch pipeline over the merged table from it. Returns the
 // reconciled cumulative report.
 func (c *Cleaner) ApplyKBDelta(adds []KBAddition) (*Report, error) {
 	return c.ApplyKBDeltaContext(context.Background(), adds)
@@ -369,105 +350,14 @@ func (c *Cleaner) ApplyKBDeltaContext(ctx context.Context, adds []KBAddition) (*
 	if len(adds) == 0 && s.report != nil {
 		return s.report, nil
 	}
-	// Targeted reconciliation is sound only for label literals on resources
-	// both stores already hold: a new resource would intern at different
-	// positions in the session KB and a batch-merged KB, breaking the ID
-	// order-isomorphism repair tie-breaking relies on.
-	targeted := s.report != nil && !s.dirty
-	labelNorms := make([]string, 0, len(adds))
-	for _, a := range adds {
-		isLabel := a.Literal && a.Predicate == rdf.IRILabel
-		if !isLabel ||
-			s.base.LookupTerm(rdf.IRI(a.Subject)) == rdf.NoID ||
-			c.kb.LookupTerm(rdf.IRI(a.Subject)) == rdf.NoID {
-			targeted = false
-		}
-		if isLabel {
-			labelNorms = append(labelNorms, similarity.Normalize(a.Object))
-		}
-	}
-	// Apply to the snapshot and the live KB in the same order; the live
-	// KB's label-generation bump lets the resolver invalidate per label
-	// instead of flushing.
 	for _, a := range adds {
 		obj := rdf.IRI(a.Object)
 		if a.Literal {
 			obj = rdf.Lit(a.Object)
 		}
 		s.base.AddFact(rdf.IRI(a.Subject), rdf.IRI(a.Predicate), obj)
-		c.kb.AddFact(rdf.IRI(a.Subject), rdf.IRI(a.Predicate), obj)
 	}
-	s.baseStats, s.baseResolver = nil, nil
-	if !targeted {
-		return c.recleanFromBase(ctx, "kb-delta", 0)
-	}
-	p, reason := c.replayPattern(ctx)
-	if p == nil {
-		return c.recleanFromBase(ctx, reason, 0)
-	}
-	if c.kbDeltaTouchesUnits(labelNorms) {
-		return c.recleanFromBase(ctx, "kb-delta-affected-unit", 0)
-	}
-	// No unit's label candidates moved, so every unit's coverage (and the
-	// session's coverage memo), questions and enrichment are untouched.
-	// Repairs are a pure function of the enlarged KB — re-rank every
-	// erroneous row against a rebuilt index, exactly the batch result.
-	return c.run(ctx, "kb-delta", s.tbl, s.in, 0, func(_ context.Context, tel *telemetry.Pipeline, _ *telemetry.Span) (*Report, error) {
-		rep := s.report
-		rep.Pattern = p
-		s.pattern, s.patternKey = p, p.Key()
-		if len(p.Edges) > 0 {
-			s.repairIx = nil
-			start := tel.StartStage(telemetry.StageRepair)
-			c.sessionRepairs(rep, p, nil, true, tel)
-			tel.EndStage(telemetry.StageRepair, start)
-		}
-		s.kbStamp = c.kb.NumTriples()
-		return rep, nil
-	})
-}
-
-// kbDeltaTouchesUnits reports whether any decision unit contains a cell
-// value one of the new labels can now match. The affected values are found
-// by reverse lookup: an index over the table's distinct cell values is
-// probed with each new label norm under the relaxed trigram bound, a
-// provable superset of the forward matches (see
-// similarity.LookupNormalizedRelaxed), then exact-scored by the lookup's
-// threshold filter. Units outside the affected set keep identical
-// label-candidate sets, so their coverage, questions and enrichment are
-// untouched. An affected unit can change whatever its verdict: a new label
-// adds candidates, and an exact match can also push a fuzzy one out of the
-// match band, so a KB-validated unit can lose its coverage.
-func (c *Cleaner) kbDeltaTouchesUnits(labelNorms []string) bool {
-	s := c.session
-	ix := similarity.NewIndex()
-	seen := map[string]bool{}
-	collect := func(v string) {
-		if !seen[v] {
-			seen[v] = true
-			ix.Add(v)
-		}
-	}
-	if s.in != nil {
-		for col := 0; col < s.in.NumCols(); col++ {
-			d := s.in.Dict(col)
-			for code := 0; code < d.Len(); code++ {
-				collect(d.Value(int32(code)))
-			}
-		}
-	} else {
-		for _, row := range s.tbl.Rows {
-			for _, v := range row {
-				collect(v)
-			}
-		}
-	}
-	for _, n := range labelNorms {
-		if len(ix.LookupNormalizedRelaxed(n, c.opts.Threshold)) > 0 {
-			return true
-		}
-	}
-	return false
+	return c.recleanFromBase(ctx, "kb-delta", 0)
 }
 
 // addCrowdStats sums two crowd accountings field-by-field.

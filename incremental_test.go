@@ -2,7 +2,6 @@ package katara
 
 import (
 	"fmt"
-	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -218,8 +217,7 @@ func TestApplyKBDeltaMatchesRebuild(t *testing.T) {
 		adds  []KBAddition
 		edits []cellEdit
 	}{
-		// Label on an existing resource, far from every cell value: the
-		// targeted path — no re-clean, repairs re-ranked.
+		// Label on an existing resource, far from every cell value.
 		"unrelated-label": {adds: []KBAddition{{Subject: "y:Madrid", Predicate: rdf.IRILabel, Object: "Zzzqx", Literal: true}}},
 		// Label aliasing a cell value in a crowd-decided row: full re-clean.
 		"affects-crowd-row": {adds: []KBAddition{{Subject: "y:Rome", Predicate: rdf.IRILabel, Object: "Pretoria", Literal: true}}},
@@ -233,7 +231,7 @@ func TestApplyKBDeltaMatchesRebuild(t *testing.T) {
 		},
 		// Non-label triple: always the re-clean path.
 		"non-label": {adds: []KBAddition{{Subject: "y:SAfrica", Predicate: "hasCapital", Object: "y:Pretoria"}}},
-		// New subject: must not take the targeted path.
+		// New subject.
 		"new-subject": {adds: []KBAddition{{Subject: "y:France", Predicate: rdf.IRILabel, Object: "France", Literal: true}}},
 	}
 	for name, tc := range cases {
@@ -303,40 +301,5 @@ func TestAppendRecordsDriftProvenance(t *testing.T) {
 	audit := rec.BuildAudit()
 	if len(audit.Drifts) != 1 {
 		t.Fatalf("audit.Drifts = %+v", audit.Drifts)
-	}
-}
-
-// TestApplyKBDeltaTargetedTimings: the targeted KB-delta path (a label on a
-// known resource, far from every cell value) re-ranks repairs inside the
-// shared run scaffold, so with Telemetry on its report carries a fresh
-// snapshot holding exactly that pass — the build-index and repair stages,
-// once each — not the opening clean's stale timings.
-func TestApplyKBDeltaTargetedTimings(t *testing.T) {
-	kb, tbl := figure1()
-	rec := NewProvenance()
-	inc := NewCleaner(kb, TrustingCrowd(), Options{
-		Incremental: true, Telemetry: true, FactOracle: fig1Oracle{kb}, Provenance: rec,
-	})
-	if _, err := inc.Clean(tbl); err != nil {
-		t.Fatal(err)
-	}
-	adds := []KBAddition{{Subject: "y:Madrid", Predicate: rdf.IRILabel, Object: "Zzzqx", Literal: true}}
-	rep, err := inc.ApplyKBDelta(adds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := rec.Drifts(); len(d) != 0 {
-		t.Fatalf("delta re-cleaned (%+v); the test needs the targeted path", d)
-	}
-	if rep.Timings == nil {
-		t.Fatal("targeted ApplyKBDelta report has no Timings")
-	}
-	stages := map[string]int64{}
-	for _, st := range rep.Timings.Stages {
-		stages[st.Stage] = st.Calls
-	}
-	want := map[string]int64{"build-index": 1, "repair": 1}
-	if !reflect.DeepEqual(stages, want) {
-		t.Fatalf("targeted re-rank stages = %v, want %v", stages, want)
 	}
 }

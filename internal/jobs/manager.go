@@ -127,7 +127,9 @@ type Config struct {
 	// MaxQueue bounds jobs waiting to run (default 64); submissions beyond
 	// it fail fast with ErrQueueFull.
 	MaxQueue int
-	// Run overrides the job runner (tests); nil uses the real pipeline.
+	// Run overrides the job runner (tests); nil uses the real pipeline,
+	// the only runner whose finished session the manager can retain for
+	// the append fast path (an injected RunFunc yields no cleaner).
 	Run RunFunc
 	// Journal, when non-nil, records every lifecycle transition durably: a
 	// submission is fsynced before it is acknowledged, so an accepted job
@@ -188,10 +190,6 @@ type Manager struct {
 	// ever being counted twice or dropped.
 	aggregate *telemetry.Pipeline
 	recovery  RecoveryStats
-	// realRunner marks the default in-process pipeline runner: only then can
-	// the manager retain a finished job's incremental session for the append
-	// fast path (an injected RunFunc yields no cleaner to retain).
-	realRunner bool
 	// retained maps a chain tip's job ID to the live cleaner whose session
 	// holds that chain's cumulative state; retainedOrder is its LRU list.
 	retained      map[string]*katara.Cleaner
@@ -211,10 +209,6 @@ func NewManager(cfg Config) *Manager {
 	if cfg.MaxQueue <= 0 {
 		cfg.MaxQueue = 64
 	}
-	realRunner := cfg.Run == nil
-	if cfg.Run == nil {
-		cfg.Run = runClean
-	}
 	if cfg.MaxSessions <= 0 {
 		cfg.MaxSessions = 4
 	}
@@ -224,7 +218,6 @@ func NewManager(cfg Config) *Manager {
 		maxQueue:    cfg.MaxQueue,
 		jobs:        make(map[string]*Job),
 		aggregate:   telemetry.New(),
-		realRunner:  realRunner,
 		retained:    make(map[string]*katara.Cleaner),
 		maxSessions: cfg.MaxSessions,
 	}
@@ -371,12 +364,6 @@ func buildCleaner(kb *katara.KB, p Params, pipe *telemetry.Pipeline) *katara.Cle
 		})
 	}
 	return katara.NewCleaner(kb.Clone(), katara.TrustingCrowd(), opts)
-}
-
-// runClean is the real RunFunc: build the per-job cleaner and run the
-// sharded pipeline.
-func runClean(ctx context.Context, kb *katara.KB, tbl *katara.Table, p Params, pipe *telemetry.Pipeline) (*katara.Report, error) {
-	return buildCleaner(kb, p, pipe).CleanContext(ctx, tbl)
 }
 
 // Submit validates, registers, durably journals and enqueues a job. It
@@ -672,7 +659,7 @@ func (m *Manager) runJob(job *Job) (rep *katara.Report, err error) {
 // append takes after a crash, so the two produce byte-identical results.
 func (m *Manager) execute(job *Job) (*katara.Report, error) {
 	if job.parent == "" {
-		if !m.realRunner {
+		if m.cfg.Run != nil {
 			return m.cfg.Run(job.ctx, m.cfg.KB, job.table, job.params, job.pipe)
 		}
 		cl := buildCleaner(m.cfg.KB, job.params, job.pipe)

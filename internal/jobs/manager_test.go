@@ -92,6 +92,51 @@ func TestJobHappyPath(t *testing.T) {
 	}
 }
 
+// TestJobResultMatchesLibraryClean: a job run by the real runner returns the
+// result document BuildResult gives for a library Clean of the same table on
+// the manager's KB, under the job's options with provenance and incremental
+// on. The job cleans a private copy of that KB; the copy keeps its term IDs,
+// so the pattern key agrees too.
+func TestJobResultMatchesLibraryClean(t *testing.T) {
+	kb, dirty := fixture(t, 120)
+	m := NewManager(Config{KB: kb})
+	defer m.Close()
+
+	p := Params{Workers: 2}
+	id, err := m.Submit(dirty, p)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if st := waitJob(t, m, id); st.State != StateDone {
+		t.Fatalf("state = %s (err %q), want done", st.State, st.Error)
+	}
+	got, _, _, err := m.Result(id)
+	if err != nil {
+		t.Fatalf("Result: %v", err)
+	}
+
+	// The library run enriches kb, so it goes after the job.
+	opts := p.Options()
+	opts.Provenance = katara.NewProvenance()
+	opts.Incremental = true
+	rep, err := katara.NewCleaner(kb, katara.TrustingCrowd(), opts).Clean(dirty)
+	if err != nil {
+		t.Fatalf("library Clean: %v", err)
+	}
+	want := BuildResult(id, StateDone, rep)
+	if got.Report == nil || want.Report == nil {
+		t.Fatal("missing report document")
+	}
+	if got.Report.Pattern != want.Report.Pattern {
+		t.Fatalf("job pattern %q, library pattern %q", got.Report.Pattern, want.Report.Pattern)
+	}
+	gotDoc, _ := json.Marshal(got)
+	wantDoc, _ := json.Marshal(want)
+	if !bytes.Equal(gotDoc, wantDoc) {
+		t.Fatalf("job result differs from the library run's\n--- job\n%s\n--- library\n%s", gotDoc, wantDoc)
+	}
+}
+
 // TestJobCancelMidRun: cancelling a running job cancels its context; the
 // real pipeline then degrades rather than aborting, and the job lands in
 // StateCancelled with the degraded report retained.
@@ -104,7 +149,7 @@ func TestJobCancelMidRun(t *testing.T) {
 		// with the cancelled context — exactly what a cancel arriving
 		// mid-annotation produces, without racing the (fast) real run.
 		<-ctx.Done()
-		return runClean(ctx, kb, tbl, p, pipe)
+		return buildCleaner(kb, p, pipe).CleanContext(ctx, tbl)
 	}
 	m := NewManager(Config{KB: kb, Run: run})
 	defer m.Close()

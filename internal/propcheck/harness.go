@@ -135,9 +135,8 @@ func newOracleCrowd() *crowd.Crowd {
 
 // Run cleans the scenario's dirty table under one configuration and
 // returns the report plus the KB store the run enriched. Every run gets
-// its own clone of the pristine KB — the whole KB, not just the store,
-// because rdf.Store.Clone renumbers term IDs and the oracles must answer
-// in the cleaned store's ID space.
+// its own clone of the pristine store; rdf.Store.Clone preserves term IDs,
+// so the oracles answer from the scenario's KB maps.
 func (s *Scenario) Run(cfg RunConfig) (*katara.Report, *rdf.Store, error) {
 	cl, store := s.NewCleaner(cfg, false, nil)
 	rep, err := cl.Clean(s.Dirty)
@@ -150,8 +149,7 @@ func (s *Scenario) Run(cfg RunConfig) (*katara.Report, *rdf.Store, error) {
 // sees it — the rebuild-from-merged-KB oracle the incremental KB-delta
 // differential compares against.
 func (s *Scenario) NewCleaner(cfg RunConfig, incremental bool, preAdds []katara.KBAddition) (*katara.Cleaner, *rdf.Store) {
-	kb := s.KB.Clone()
-	store := kb.Store
+	store := s.KB.Store.Clone()
 	for _, a := range preAdds {
 		obj := rdf.IRI(a.Object)
 		if a.Literal {
@@ -179,8 +177,8 @@ func (s *Scenario) NewCleaner(cfg RunConfig, incremental bool, preAdds []katara.
 		// ExhaustiveTopK's refusal bound so invariant 1 stays checkable.
 		MaxCandidates:    4,
 		Telemetry:        cfg.Telemetry,
-		ValidationOracle: workload.SpecOracle{Spec: s.Spec, KB: kb},
-		FactOracle:       workload.WorldOracle{W: s.World, KB: kb},
+		ValidationOracle: workload.SpecOracle{Spec: s.Spec, KB: s.KB},
+		FactOracle:       workload.WorldOracle{W: s.World, KB: s.KB},
 	}
 	if cfg.Faults {
 		// Aggressive retry with microsecond backoff: resilience paths get

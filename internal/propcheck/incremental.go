@@ -59,10 +59,9 @@ func checkIncremental(sc *Scenario, res *SeedResult, base *katara.Report) error 
 	}
 
 	// KB-delta differential: ApplyKBDelta on a finished session vs a batch
-	// run whose KB was merged before cleaning. One case per reconciliation
-	// path: a fresh label on an existing subject (targeted re-rank), a label
-	// on a brand-new subject matching a table cell (full re-clean), and a
-	// non-label triple (full re-clean).
+	// run whose KB was merged before cleaning, over three delta shapes: a
+	// fresh label on an existing subject, a label on a brand-new subject
+	// matching a table cell, and a non-label triple.
 	cases := kbDeltaCases(sc, rng)
 	for _, dc := range cases {
 		res.Configs++
@@ -142,8 +141,8 @@ func runIncrementalChain(sc *Scenario, dirty *table.Table, cfg RunConfig, splits
 	return rep, err
 }
 
-// kbDeltaCase is one KB-delta differential: a named addition set exercising a
-// specific ApplyKBDelta reconciliation path.
+// kbDeltaCase is one KB-delta differential: a named addition set of one
+// delta shape.
 type kbDeltaCase struct {
 	name string
 	adds []katara.KBAddition

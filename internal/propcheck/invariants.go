@@ -308,31 +308,30 @@ func checkResolverDifferential(sc *Scenario, stats *kbstats.Stats, base *discove
 		return fmt.Errorf("cached resolution changed pair candidates")
 	}
 
-	// Annotation half. Identical clones share term IDs (Clone iterates
-	// triples deterministically), so a pattern discovered on one clone
-	// applies to its sibling; each run still needs its own clone because
-	// enrichment mutates the store.
-	kbA, kbB := sc.KB.Clone(), sc.KB.Clone()
-	candsA := discovery.Generate(sc.Dirty, kbstats.New(kbA.Store), discovery.Options{MaxCandidates: 4})
+	// Annotation half. Clones share term IDs, so a pattern discovered on one
+	// clone applies to its sibling; each run still needs its own clone
+	// because enrichment mutates the store.
+	kbA, kbB := sc.KB.Store.Clone(), sc.KB.Store.Clone()
+	candsA := discovery.Generate(sc.Dirty, kbstats.New(kbA), discovery.Options{MaxCandidates: 4})
 	ps := discovery.TopK(candsA, 1)
 	if len(ps) == 0 {
 		return nil
 	}
 	p := ps[0]
 	direct := annotateWith(sc, p, kbA, nil)
-	viaCache := annotateWith(sc, p, kbB, resolve.New(kbB.Store, similarity.DefaultThreshold))
+	viaCache := annotateWith(sc, p, kbB, resolve.New(kbB, similarity.DefaultThreshold))
 	if !reflect.DeepEqual(direct, viaCache) {
 		return fmt.Errorf("cached annotation differs from direct annotation")
 	}
 	return nil
 }
 
-func annotateWith(sc *Scenario, p *pattern.Pattern, kb *workload.KB, resolver pattern.LabelSource) *annotation.Result {
+func annotateWith(sc *Scenario, p *pattern.Pattern, kb *rdf.Store, resolver pattern.LabelSource) *annotation.Result {
 	ann := &annotation.Annotator{
-		KB:       kb.Store,
+		KB:       kb,
 		Pattern:  p,
 		Crowd:    newOracleCrowd(),
-		Oracle:   workload.WorldOracle{W: sc.World, KB: kb},
+		Oracle:   workload.WorldOracle{W: sc.World, KB: sc.KB},
 		Enrich:   true,
 		Resolver: resolver,
 	}

@@ -128,3 +128,34 @@ func TestCloneIsDeep(t *testing.T) {
 		t.Fatal("clone's label index leaked the original's new label")
 	}
 }
+
+func TestClonePreservesIDs(t *testing.T) {
+	s := buildAliasKB()
+	clone := s.Clone()
+	if len(clone.terms) != len(s.terms) {
+		t.Fatalf("clone holds %d terms, want %d", len(clone.terms), len(s.terms))
+	}
+	for i, term := range s.terms {
+		if got := clone.LookupTerm(term); got != ID(i) {
+			t.Fatalf("term %v has ID %d in the clone, want %d", term, got, i)
+		}
+	}
+	for _, q := range []string{"Rome", "Romme", "Milan", "Italy", "Itly"} {
+		if got, want := clone.MatchLabel(q, 0.7), s.MatchLabel(q, 0.7); !reflect.DeepEqual(got, want) {
+			t.Fatalf("MatchLabel(%q): clone %v, original %v", q, got, want)
+		}
+	}
+	// The same additions on both stores mint the same IDs.
+	for _, st := range []*Store{s, clone} {
+		st.AddFact(IRI("ex:Naples"), IRI(IRIType), IRI("ex:City"))
+		st.AddFact(IRI("ex:Naples"), IRI(IRILabel), Lit("Naples"))
+	}
+	for _, term := range []Term{IRI("ex:Naples"), Lit("Naples")} {
+		if a, b := s.LookupTerm(term), clone.LookupTerm(term); a != b || a == NoID {
+			t.Fatalf("%v minted ID %d in the original, %d in the clone", term, a, b)
+		}
+	}
+	if got, want := clone.MatchLabel("Naples", 0.7), s.MatchLabel("Naples", 0.7); !reflect.DeepEqual(got, want) {
+		t.Fatalf("MatchLabel(Naples) after AddFact: clone %v, original %v", got, want)
+	}
+}

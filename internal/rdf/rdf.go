@@ -297,28 +297,18 @@ func (s *Store) LabelsSince(gen uint64) (labels []string, ok bool) {
 	return s.labelLog[gen-s.labelLogBase:], true
 }
 
-// Clone returns a deep copy of the store. Term IDs are not preserved across
-// the copy; look terms up by value in the clone.
-func (s *Store) Clone() *Store {
-	out := New()
-	s.ForEachTriple(func(t Triple) {
-		out.AddFact(s.terms[t.S], s.terms[t.P], s.terms[t.O])
-	})
-	return out
-}
-
-// CloneExact returns a deep copy of the store that PRESERVES term IDs — the
-// clone interns exactly the same terms at exactly the same IDs and holds
-// exactly the same triples, so IDs (and any structure built on them:
-// patterns, label matches, repair graphs) are interchangeable between the
-// two stores. Incremental cleaning snapshots the pre-enrichment KB this way:
-// because enrichment only appends terms, the snapshot's terms stay a prefix
-// of the live store's and every snapshot ID remains valid in both.
+// Clone returns a deep copy of the store that preserves term IDs: the clone
+// interns exactly the same terms at exactly the same IDs and holds exactly
+// the same triples, so IDs (and any structure built on them: patterns,
+// label matches, repair graphs, oracle maps) are interchangeable between the
+// two stores, and the same later additions mint the same IDs in both.
+// Enrichment runs on a private clone; an incremental session's snapshot is
+// one too.
 //
 // Hierarchy closures are left cold (they rebuild lazily on first use);
 // everything else — including the label log and all generation counters — is
 // copied, so caches keyed on generations resume seamlessly.
-func (s *Store) CloneExact() *Store {
+func (s *Store) Clone() *Store {
 	out := &Store{
 		terms:           append([]Term(nil), s.terms...),
 		lookup:          make(map[Term]ID, len(s.lookup)),

@@ -100,7 +100,7 @@ func (ix *Index) Add(s string) int32 {
 
 // Clone returns a deep copy of the index with identical ids — lookups on the
 // clone return exactly the same candidates as on the original. Used by
-// rdf.Store.CloneExact to snapshot the fuzzy label index.
+// rdf.Store.Clone to copy the fuzzy label index.
 func (ix *Index) Clone() *Index {
 	out := NewIndex()
 	out.values = append([]string(nil), ix.values...)

@@ -53,44 +53,6 @@ func (kb *KB) PropFor(semantic string) rdf.ID {
 	return rdf.NoID
 }
 
-// Clone deep-copies the KB. rdf.Store.Clone does not preserve term IDs, so
-// the semantic maps are re-resolved against the cloned store — an oracle
-// built from the clone answers in the clone's ID space. (An oracle built
-// from the original against a cloned store silently rejects everything;
-// the propcheck harness exists to catch exactly that class of mix-up.)
-func (kb *KB) Clone() *KB {
-	st := kb.Store.Clone()
-	// Every declared type/prop carries at least a label triple, so Intern
-	// here is a pure lookup: no new IDs are minted and map iteration order
-	// cannot influence the clone's ID assignment.
-	remap := func(id rdf.ID) rdf.ID { return st.Intern(kb.Store.Term(id)) }
-	out := &KB{
-		Name:      kb.Name,
-		Store:     st,
-		TypeID:    make(map[string]rdf.ID, len(kb.TypeID)),
-		PropID:    make(map[string]rdf.ID, len(kb.PropID)),
-		TypeName:  make(map[rdf.ID]string, len(kb.TypeName)),
-		PropName:  make(map[rdf.ID]string, len(kb.PropName)),
-		TypeCheck: make(map[rdf.ID]func(string) bool, len(kb.TypeCheck)),
-	}
-	for sem, id := range kb.TypeID {
-		out.TypeID[sem] = remap(id)
-	}
-	for sem, id := range kb.PropID {
-		out.PropID[sem] = remap(id)
-	}
-	for id, name := range kb.TypeName {
-		out.TypeName[remap(id)] = name
-	}
-	for id, name := range kb.PropName {
-		out.PropName[remap(id)] = name
-	}
-	for id, check := range kb.TypeCheck {
-		out.TypeCheck[remap(id)] = check
-	}
-	return out
-}
-
 // coverage holds the incompleteness knobs of one KB.
 type coverage struct {
 	entity map[string]float64 // semantic type -> fraction of entities present

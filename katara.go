@@ -278,11 +278,11 @@ type Options struct {
 	// Incremental keeps a session alive after Clean so Append and
 	// ApplyKBDelta can extend the run: appended rows reuse the validated
 	// pattern (re-checked by crowd-free replay of the §5 decisions) and only
-	// the delta is annotated and repaired; KB additions reconcile the report
-	// without a full re-run when provably safe. The cumulative report is
+	// the delta is annotated and repaired; KB additions join the session's
+	// KB snapshot and re-clean from it. The cumulative report is
 	// semantically identical to one batch Clean of the merged inputs — the
 	// propcheck incremental ≡ batch differential pins this down. Costs a KB
-	// snapshot (CloneExact) and a private table copy per Clean; the caller's
+	// snapshot (Clone) and a private table copy per Clean; the caller's
 	// table is never mutated by Append.
 	Incremental bool
 
@@ -438,17 +438,8 @@ func (c *Cleaner) validatePattern(ctx context.Context, t *Table, candidates []*P
 	if c.opts.ValidationOracle == nil {
 		return candidates[0], 0, false
 	}
-	v := &validation.Validator{
-		KB:                   c.kb,
-		Table:                t,
-		Crowd:                c.crowd,
-		Oracle:               c.opts.ValidationOracle,
-		QuestionsPerVariable: c.opts.QuestionsPerVariable,
-		TuplesPerQuestion:    c.opts.TuplesPerQuestion,
-		Rng:                  rand.New(rand.NewSource(c.opts.Seed)),
-		Ctx:                  ctx,
-		Prov:                 c.opts.Provenance,
-	}
+	v := c.validator(ctx, c.kb, t)
+	v.Prov = c.opts.Provenance
 	if c.opts.Incremental && c.session != nil {
 		// Record the crowd's decisions so later Appends can replay MUVF
 		// without re-asking (the incremental drift check).
@@ -456,6 +447,33 @@ func (c *Cleaner) validatePattern(ctx context.Context, t *Table, candidates []*P
 	}
 	res := v.MUVF(candidates)
 	return res.Pattern, res.QuestionsAsked, res.Degraded
+}
+
+// validator assembles the §5 MUVF validator over kb and t; callers set
+// Memo, Replay and Prov.
+func (c *Cleaner) validator(ctx context.Context, kb *KB, t *Table) *validation.Validator {
+	return &validation.Validator{
+		KB:                   kb,
+		Table:                t,
+		Crowd:                c.crowd,
+		Oracle:               c.opts.ValidationOracle,
+		QuestionsPerVariable: c.opts.QuestionsPerVariable,
+		TuplesPerQuestion:    c.opts.TuplesPerQuestion,
+		Rng:                  rand.New(rand.NewSource(c.opts.Seed)),
+		Ctx:                  ctx,
+	}
+}
+
+// withPathEdges returns p extended by the §9 path edges found in cands — on
+// a copy, since p may be a shared candidate — when Options.DiscoverPaths is
+// set, and p itself otherwise.
+func (c *Cleaner) withPathEdges(p *Pattern, cands *discovery.Candidates) *Pattern {
+	if !c.opts.DiscoverPaths {
+		return p
+	}
+	p = p.Clone()
+	discovery.AttachPathEdges(p, discovery.DiscoverPathEdges(cands))
+	return p
 }
 
 // Annotate labels every tuple of t against pattern p (§6.1).

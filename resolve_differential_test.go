@@ -69,9 +69,8 @@ func TestCachedCandidatesIdenticalToUncached(t *testing.T) {
 func TestCachedAnnotationIdenticalToUncached(t *testing.T) {
 	kb, _, dirty := differentialFixture(43, 120)
 
-	// Identical clones (same deterministic triple order) give both runs the
-	// same term IDs, so one discovered pattern applies to both. Each run gets
-	// its own clone because enrichment mutates the KB.
+	// Clones preserve term IDs, so one discovered pattern applies to both
+	// runs. Each run gets its own clone because enrichment mutates the KB.
 	kbA := kb.Store.Clone()
 	kbB := kb.Store.Clone()
 	cands := discovery.Generate(dirty, kbstats.New(kbA), discovery.Options{})

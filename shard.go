@@ -91,12 +91,12 @@ func (c *Cleaner) pipeline() *telemetry.Pipeline {
 	return nil
 }
 
-// run is the scaffold every pass over a table shares — a batch clean, an
-// append's delta pass and a targeted KB-delta re-rank: it attaches the run's
-// telemetry pipeline and the provenance recorder to the crowd and the
-// resolver, applies the deadline and the crowd budget, opens the root span
-// (name) and installs the row→decision-unit mapping, runs body, then closes
-// the accounting: the resolver's hit/miss deltas and Report.Timings.
+// run is the scaffold every pass over a table shares — a batch clean and an
+// append's delta pass: it attaches the run's telemetry pipeline and the
+// provenance recorder to the crowd and the resolver, applies the deadline
+// and the crowd budget, opens the root span (name) and installs the
+// row→decision-unit mapping, runs body, then closes the accounting: the
+// resolver's hit/miss deltas and Report.Timings.
 func (c *Cleaner) run(ctx context.Context, name string, t *Table, in *table.Interned, rows int,
 	body func(ctx context.Context, tel *telemetry.Pipeline, root *telemetry.Span) (*Report, error)) (*Report, error) {
 	tel := c.pipeline()
@@ -194,10 +194,7 @@ func (c *Cleaner) runClean(ctx context.Context, t *Table) (*Report, error) {
 			rep.Degraded.PatternFallback = true
 			tel.Inc(telemetry.DegradedDecisions)
 		}
-		if c.opts.DiscoverPaths {
-			p = p.Clone()
-			discovery.AttachPathEdges(p, discovery.DiscoverPathEdges(cands))
-		}
+		p = c.withPathEdges(p, cands)
 		if rec.Enabled() && p != nil {
 			// The validated (possibly stripped or path-extended) winner.
 			rec.RecordPattern(p.Key(), p.Score, true)

@@ -34,13 +34,12 @@ func shardFixture(t *testing.T, rows int) (*Table, func(opts Options) *Cleaner) 
 		t.Fatal("no errors injected")
 	}
 	newCleaner := func(opts Options) *Cleaner {
-		fresh := kb.Clone()
-		opts.ValidationOracle = workload.SpecOracle{Spec: spec, KB: fresh}
-		opts.FactOracle = workload.WorldOracle{W: w, KB: fresh}
+		opts.ValidationOracle = workload.SpecOracle{Spec: spec, KB: kb}
+		opts.FactOracle = workload.WorldOracle{W: w, KB: kb}
 		if opts.RepairK == 0 {
 			opts.RepairK = 3
 		}
-		return NewCleaner(fresh.Store, NewCrowd(10, 0.97, seed), opts)
+		return NewCleaner(kb.Store.Clone(), NewCrowd(10, 0.97, seed), opts)
 	}
 	return dirty, newCleaner
 }
