@@ -14,7 +14,7 @@ COVER_OUT ?= coverage.out
 
 .PHONY: all build fmt-check vet test race bench bench-smoke obs-smoke \
 	daemon-smoke chaos-smoke append-smoke fuzz-smoke cover cover-check \
-	perfbench-test loc check
+	perfbench-test kexp-check loc check
 
 all: check
 
@@ -51,6 +51,12 @@ bench-smoke:
 # breaks the benchmark fails here.
 perfbench-test:
 	cd perfbench && $(GO) vet . && $(GO) test .
+
+# Reproduction check: rerun the default experiment driver (about 4 min on 2
+# CPUs) and compare every line with docs/kexp-default-run.txt, wall-clock
+# durations masked. Kept out of `test` so the suite stays fast.
+kexp-check:
+	./scripts/kexp_check.sh
 
 # The simplicity yardstick: non-test Go lines outside perfbench/ (its own
 # module) and outside hidden build directories.

@@ -30,7 +30,6 @@ import (
 	"time"
 
 	"katara"
-	"katara/internal/discovery"
 	"katara/internal/experiments"
 	"katara/internal/jobs"
 	"katara/internal/kbstats"
@@ -245,7 +244,7 @@ func main() {
 	})
 	run("table6", func() string { return experiments.RenderTable6(experiments.Table6(env)) })
 	run("table7", func() string { return experiments.RenderTable7(experiments.Table7(env)) })
-	run("patterns", func() string { return renderValidatedPatterns(env) })
+	run("patterns", func() string { return experiments.RenderFigure10(experiments.Figure10(env)) })
 	run("ablation", func() string { return experiments.RenderAblation(experiments.AblationCoherence(env)) })
 	run("stats", func() string { return renderStats(env, *workers, *faultRate, pipe, *statsAll) })
 
@@ -298,9 +297,10 @@ func writeStatsJSON(pipe *katara.TelemetryPipeline, path string) error {
 }
 
 // renderStats runs the instrumented end-to-end pipeline over the
-// RelationalTables specs and both KBs and prints each run's telemetry
-// snapshot — stage timings, counters (including the crowd resilience
-// counters) and latency percentiles, all through the shared
+// RelationalTables specs and both KBs, with the pattern validated against
+// the spec's ground truth like every other experiment, and prints each
+// run's telemetry snapshot — stage timings, counters (including the crowd
+// resilience counters) and latency percentiles, all through the shared
 // Snapshot.String() renderer. A non-zero faultRate routes every crowd
 // assignment through the seeded fault injector. When pipe is non-nil every
 // run records into it (so -trace/-listen/-stats-json observe the runs) and
@@ -326,10 +326,11 @@ func renderStats(env *experiments.Env, workers int, faultRate float64, pipe *kat
 			rng := rand.New(rand.NewSource(env.Cfg.Seed))
 			table.InjectErrors(dirty, cols, 0.10, rng)
 			opts := katara.Options{
-				FactOracle: workload.WorldOracle{W: env.World, KB: kb},
-				Telemetry:  true,
-				Pipeline:   pipe, // nil = per-run pipeline via Telemetry
-				Workers:    workers,
+				ValidationOracle: workload.SpecOracle{Spec: spec, KB: kb},
+				FactOracle:       workload.WorldOracle{W: env.World, KB: kb},
+				Telemetry:        true,
+				Pipeline:         pipe, // nil = per-run pipeline via Telemetry
+				Workers:          workers,
 			}
 			if faultRate > 0 {
 				opts.Transport = katara.NewFaultInjector(katara.FaultConfig{
@@ -358,30 +359,6 @@ func renderStats(env *experiments.Env, workers int, faultRate float64, pipe *kat
 				fmt.Fprintf(&b, "  degraded: pattern-fallback=%v tuples=%d repairs-skipped=%v\n",
 					d.PatternFallback, d.Tuples, d.RepairsSkipped)
 			}
-		}
-	}
-	return b.String()
-}
-
-// renderValidatedPatterns prints the top discovered pattern per relational
-// table and KB — the analogue of Fig. 10 in the appendix.
-func renderValidatedPatterns(env *experiments.Env) string {
-	var b strings.Builder
-	b.WriteString("Figure 10: Validated table patterns (RelationalTables)\n")
-	ds := env.Dataset("RelationalTables")
-	for _, kb := range env.KBs {
-		fmt.Fprintf(&b, "%s:\n", kb.Name)
-		for _, spec := range ds.Specs {
-			c := discovery.Generate(spec.Table, env.Stats[kb.Name], discovery.Options{
-				MaxCandidates: env.Cfg.MaxCandidates,
-				MaxRows:       env.Cfg.MaxRows,
-			})
-			ps := discovery.TopK(c, 1)
-			if len(ps) == 0 {
-				fmt.Fprintf(&b, "  %-12s (no pattern)\n", spec.Table.Name)
-				continue
-			}
-			fmt.Fprintf(&b, "  %-12s %s\n", spec.Table.Name, ps[0].Render(kb.Store, spec.Table.Columns))
 		}
 	}
 	return b.String()

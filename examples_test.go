@@ -26,7 +26,6 @@ func TestExamplesRun(t *testing.T) {
 		"webtables":  "aggregate tuples",
 		"university": "KATARA",
 		"paths":      "wasBornIn∘isLocatedIn",
-		"sparql":     "Q_types",
 	}
 	found := 0
 	for _, e := range entries {

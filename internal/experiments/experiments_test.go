@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"katara/internal/workload"
 	"katara/internal/world"
 )
 
@@ -294,4 +295,42 @@ func TestTable7Shapes(t *testing.T) {
 		}
 	}
 	_ = RenderTable7(rows)
+}
+
+func TestFigure10KeepsOnlyTruthEdges(t *testing.T) {
+	e := smallEnv(t)
+	rows := Figure10(e)
+	if len(rows) != 6 { // 3 tables x 2 KBs
+		t.Fatalf("rows = %d", len(rows))
+	}
+	kbs := map[string]*workload.KB{}
+	for _, kb := range e.KBs {
+		kbs[kb.Name] = kb
+	}
+	specs := map[string]*workload.TableSpec{}
+	for _, spec := range e.Dataset("RelationalTables").Specs {
+		specs[spec.Table.Name] = spec
+	}
+	edges := 0
+	for _, r := range rows {
+		if r.Pattern == nil {
+			t.Errorf("%s/%s: no validated pattern", r.Table, r.KB)
+			continue
+		}
+		truth := specs[r.Table].TruthPattern(kbs[r.KB])
+		for _, ed := range r.Pattern.Edges {
+			edges++
+			if truth.EdgeBetween(ed.From, ed.To) == nil {
+				t.Errorf("%s/%s: validated pattern keeps edge %d->%d the truth pattern lacks:\n%s",
+					r.Table, r.KB, ed.From, ed.To, r.Text)
+			}
+		}
+	}
+	if edges == 0 {
+		t.Error("no validated pattern has a relationship edge")
+	}
+	out := RenderFigure10(rows)
+	if !strings.Contains(out, "Figure 10") || !strings.Contains(out, "DBpedia:") {
+		t.Fatalf("render:\n%s", out)
+	}
 }

@@ -4,8 +4,9 @@ import "sort"
 
 // This file implements the RDFS reasoning KATARA needs: transitive closure
 // over rdfs:subClassOf and rdfs:subPropertyOf, type membership with
-// subsumption, and the reflexive-transitive path semantics of the SPARQL
-// property paths rdfs:subClassOf* / rdfs:subPropertyOf* (§3.1, §4.1).
+// subsumption, and the reflexive-transitive semantics the paper's SPARQL
+// queries get from the property paths rdfs:subClassOf* / rdfs:subPropertyOf*
+// (§3.1, §4.1).
 
 func (s *Store) ensureClosures() {
 	if s.closureGen == s.gen && s.superCls != nil {

@@ -4,9 +4,11 @@
 // transitive closure over class and property hierarchies, a fuzzy label
 // index, and N-Triples serialisation.
 //
-// The paper loads Yago and DBpedia into Apache Jena; this store is the
-// offline stand-in. It is deliberately simple — single writer, many readers —
-// and all query structure lives in package sparql on top of it.
+// The paper loads Yago and DBpedia into Apache Jena and phrases discovery
+// and coverage as SPARQL queries; this store is the offline stand-in. It is
+// deliberately simple — single writer, many readers — and its callers
+// (discovery, kbstats, pattern coverage) read its indexes directly instead
+// of going through a query engine.
 package rdf
 
 import (
